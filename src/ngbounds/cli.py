@@ -19,11 +19,12 @@ All randomized commands are reproducible from --seed.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
-from math import comb
+from math import comb, prod
 
 from .compression import compress_to_threshold
-from .counting import clique_profile, count_cliques, independent_profile
+from .counting import clique_profile, count_cliques, independent_profile, pi
 from .graphs import Graph6Error, parse_graph6
 from .multicolor import (
     ColoringFormatError,
@@ -58,22 +59,19 @@ def cmd_count(args) -> int:
         for idx, c in enumerate(counts, start=1):
             print(f"k(G_{idx}) {c}")
         print(f"sum {sum(counts)}")
-        prod_val = 1
-        for c in counts:
-            prod_val *= c
-        print(f"product {prod_val}")
+        print(f"product {prod(counts)}")
         return 0
     g = _load_graph(args)
-    kp = clique_profile(g)
-    ip = independent_profile(g)
+    for t in sizes:
+        if not 0 <= t <= g.n:
+            raise ValueError(f"size t={t} outside [0, {g.n}]")
+    kp, ip = clique_profile(g), independent_profile(g)
     print(f"n {g.n}")
     print(f"k {kp.total}")
     print(f"i {ip.total}")
     print(f"sigma {kp.total + ip.total}")
     print(f"pi {kp.total * ip.total}")
     for t in sizes:
-        if not 0 <= t <= g.n:
-            raise ValueError(f"size t={t} outside [0, {g.n}]")
         kt, it = kp.count(t), ip.count(t)
         print(f"k_{t} {kt}")
         print(f"i_{t} {it}")
@@ -84,20 +82,24 @@ def cmd_count(args) -> int:
 
 def cmd_compress(args) -> int:
     g = _load_graph(args)
-    kp, ip = clique_profile(g), independent_profile(g)
     final, pivots = compress_to_threshold(g)
     for x, y in pivots:
         print(f"compress {x} -> {y}")
     code = recognize(final)
     print(f"pivots {len(pivots)}")
     print(f"code {code.display() if code else '(none)'}")
-    fkp, fip = clique_profile(final), independent_profile(final)
-    print(f"pi {kp.total * ip.total} -> {fkp.total * fip.total}")
+    print(f"pi {pi(g)} -> {pi(final)}")
     return 0
 
 
 def cmd_bounds(args) -> int:
-    t, n = args.t, args.n
+    t, n, r = args.t, args.n, args.r
+    if n < 0:
+        raise ValueError(f"vertex count n={n} is negative")
+    m = certificate_length(n, r) if r is not None else None
+    g = parse_graph6(args.graph6.strip()) if args.graph6 is not None else None
+    if g is not None and g.n != n:
+        raise ValueError(f"--graph6 instance has {g.n} vertices, --n says {n}")
     lead = leading_term_bound(t)
     print(f"split_{t} {lead.split:.12f}")
     print(f"peak_{t} {lead.value:.12f}")
@@ -107,26 +109,19 @@ def cmd_bounds(args) -> int:
         joined, disjoint = extremal_one_turn_codes(n, t)
         print(f"code_joined {joined.display()}")
         print(f"code_disjoint {disjoint.display()}")
-    if args.r is not None:
-        r = args.r
-        m = certificate_length(n, r)
+    if r is not None:
         print(f"certificate_bound(r={r}) {certificate_lower_bound(n, r)}")
         print(f"certificate_counts {','.join(map(str, pigeonhole_sequence(n, r, m)))}")
         print(f"product_upper(r={r}) {multicolor_upper_bound(n, r)}")
         blocks = comb(r, 2)
         base, extra = divmod(n, blocks)
-        value = 2**n
-        for idx in range(blocks):
-            value *= 1 + base + (1 if idx < extra else 0)
+        value = 2**n * (2 + base) ** extra * (1 + base) ** (blocks - extra)
         print(f"construction_value(r={r}) {value}")
         if extra == 0:
             print(f"construction_floor(r={r}) {2 ** n * (n // blocks) ** blocks}")
         else:
             print(f"construction_floor(r={r}) {2 ** n * (n / blocks) ** blocks:.6e}")
-    if args.graph6 is not None:
-        g = parse_graph6(args.graph6.strip())
-        if g.n != n:
-            raise ValueError(f"--graph6 instance has {g.n} vertices, --n says {n}")
+    if g is not None:
         kp, ip = clique_profile(g), independent_profile(g)
         print(f"instance_pi {kp.total * ip.total}")
         print(f"instance_pi_{t} {kp.count(t) * ip.count(t)}")
@@ -137,18 +132,8 @@ def cmd_verify(args) -> int:
     suite = SUITES.get(args.suite)
     if suite is None:
         raise ValueError(f"unknown suite {args.suite!r}; pick from {sorted(SUITES)}")
-    kwargs = {}
-    if args.suite == "compression":
-        kwargs = {"trials": args.trials, "n_max": args.n_max, "seed": args.seed}
-    elif args.suite == "thresholds":
-        kwargs = {"trials": args.trials, "n_max": args.n_max, "seed": args.seed}
-    elif args.suite == "borders":
-        kwargs = {"t": args.t, "n_max": args.n_max}
-    elif args.suite == "multicolor":
-        kwargs = {"trials": args.trials, "seed": args.seed}
-    elif args.suite == "extremal":
-        kwargs = {"n_max": args.n_max, "shards": args.shards}
-    report = suite(**{k: v for k, v in kwargs.items() if v is not None})
+    params = inspect.signature(suite).parameters
+    report = suite(**{k: v for k, v in vars(args).items() if k in params and v is not None})
     for line in report.lines:
         print(line)
     if not report.passed:

@@ -72,15 +72,26 @@ class Graph:
         if len(self.adj) != self.n:
             raise ValueError(f"expected {self.n} adjacency rows, got {len(self.adj)}")
         full = (1 << self.n) - 1
-        for i, row in enumerate(self.adj):
+        # for i < j, bit j of upper[i] ^ dense is bit i of row j; dense rows walk clear bits
+        upper, dense = [0] * self.n, 0
+        for j, row in enumerate(self.adj):
             if row & ~full:
-                raise ValueError(f"row {i} has bits outside the vertex range")
-            if (row >> i) & 1:
-                raise ValueError(f"loop at vertex {i}")
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if (self.adj[i] >> j) & 1 != (self.adj[j] >> i) & 1:
-                    raise ValueError(f"adjacency not symmetric at pair ({i}, {j})")
+                raise ValueError(f"row {j} has bits outside the vertex range")
+            if (row >> j) & 1:
+                raise ValueError(f"loop at vertex {j}")
+            below = row & ((1 << j) - 1)
+            if 2 * below.bit_count() > j:
+                dense |= 1 << j
+                below ^= (1 << j) - 1
+            while below:
+                low = below & -below
+                below ^= low
+                upper[low.bit_length() - 1] |= 1 << j
+        for i, row in enumerate(self.adj):
+            diff = (row ^ upper[i] ^ dense) >> (i + 1)
+            if diff:
+                j = i + (diff & -diff).bit_length()
+                raise ValueError(f"adjacency not symmetric at pair ({i}, {j})")
 
     @classmethod
     def empty(cls, n: int) -> "Graph":

@@ -28,10 +28,7 @@ from .multicolor import (
     tournament_blocks,
     tournament_construction,
 )
-from .oracle import (
-    exhaustive_extremal,
-    rng_for,
-)
+from .oracle import _graph_from_rng, exhaustive_extremal, rng_for
 from .packing import discrete_border_max
 from .threshold import ThresholdCode, build, closed_form_counts, recognize, split_degrees
 
@@ -53,16 +50,6 @@ class Report:
         self.lines.append("VIOLATION: " + line)
         if artifact is not None and len(self.counterexamples) < MAX_COUNTEREXAMPLES:
             self.counterexamples.append(artifact)
-
-
-def _graph_from_rng(n: int, rng) -> Graph:
-    m = n * (n - 1) // 2
-    bits = rng.integers(0, 2, size=m) if m else []
-    mask = 0
-    for i in range(m):
-        if bits[i]:
-            mask |= 1 << i
-    return Graph.from_edge_mask(n, mask)
 
 
 def _coloring_from_rng(n: int, r: int, rng) -> GraphFamily:

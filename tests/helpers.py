@@ -20,3 +20,14 @@ def random_graph(n: int, rng) -> Graph:
             if bit:
                 mask |= 1 << i
     return Graph.from_edge_mask(n, mask)
+
+
+def gnp_graph(n: int, p: float, rng) -> Graph:
+    """Each of the n(n-1)/2 edges present with probability p."""
+    m = n * (n - 1) // 2
+    mask = 0
+    if m:
+        for i, hit in enumerate(rng.random(m) < p):
+            if hit:
+                mask |= 1 << i
+    return Graph.from_edge_mask(n, mask)

@@ -238,7 +238,7 @@ def test_acceptance_08b_leading_term_at_n60():
     assert sd == _complete_join_split(joined)
     s_k, s_i = closed_form_counts(sd, t)
     value = s_k * s_i
-    # closed form cross-checked against the counting recursion
+    # closed form cross-checked against the counting engine
     assert value == pi_t(g, t)
 
     ratios = {}

@@ -32,9 +32,13 @@ def test_count_rejects_bad_graph6(capsys):
 
 
 def test_count_rejects_out_of_range_t(capsys):
-    code, _, err = run(capsys, "count", "--graph6", "Bw", "--t", "9")
+    code, out, err = run(capsys, "count", "--graph6", "Bw", "--t", "9")
     assert code == 2
     assert "t=9" in err
+    assert out == ""
+    code, out, err = run(capsys, "count", "--graph6", "Bw", "--t", "2", "--t", "-1")
+    assert (code, out) == (2, "")
+    assert "t=-1" in err
 
 
 def test_count_coloring_file(tmp_path, capsys):
@@ -94,8 +98,20 @@ def test_bounds_with_instance(capsys):
     code, out, _ = run(capsys, "bounds", "--t", "3", "--n", "5", "--graph6", g6)
     lines = dict(line.split(" ", 1) for line in out.strip().splitlines())
     assert lines["instance_pi"] == "192"
-    code, _, err = run(capsys, "bounds", "--t", "3", "--n", "4", "--graph6", g6)
+    code, out, err = run(capsys, "bounds", "--t", "3", "--n", "4", "--graph6", g6)
     assert code == 2 and "vertices" in err
+    assert out == ""
+    code, out, err = run(capsys, "bounds", "--t", "3", "--n", "5", "--graph6", "D")
+    assert (code, out) == (2, "") and "input error" in err
+
+
+def test_bounds_rejects_bad_sizes_before_printing(capsys):
+    code, out, err = run(capsys, "bounds", "--t", "3", "--n", "5", "--r", "1")
+    assert (code, out) == (2, "") and "colors" in err
+    code, out, err = run(capsys, "bounds", "--t", "3", "--n", "-1")
+    assert (code, out) == (2, "") and "n=-1" in err
+    code, out, err = run(capsys, "bounds", "--t", "2", "--n", "5")
+    assert (code, out) == (2, "") and "t >= 3" in err
 
 
 def test_verify_known_suite(capsys):

@@ -1,7 +1,11 @@
+from math import comb
+
 import pytest
 
 from ngbounds import (
     Graph,
+    ThresholdCode,
+    build,
     clique_profile,
     complement,
     independent_profile,
@@ -13,7 +17,7 @@ from ngbounds import (
 )
 from ngbounds.oracle import rng_for
 
-from helpers import cycle_graph, path_graph, random_graph
+from helpers import cycle_graph, gnp_graph, path_graph, random_graph
 
 
 def test_profile_fixtures():
@@ -127,3 +131,94 @@ def test_large_dense_profile_is_exact():
     g = Graph.complete(62)
     assert clique_profile(g).total == 2**62
     assert pi(g) == 63 * 2**62
+    for n in (0, 1, 20, 40, 62):
+        binomials = tuple(comb(n, t) for t in range(n + 1))
+        assert clique_profile(Graph.complete(n)).by_size == binomials
+        assert independent_profile(Graph.empty(n)).by_size == binomials
+
+
+def _memo_profile(g: Graph) -> tuple[int, ...]:
+    """The earlier engine, kept here only as a test oracle for n > 20:
+    k(G) = k(G - v) + k(G[N(v)]) on the max-degree vertex v, memoized by
+    the induced vertex set."""
+    adj = g.adj
+    memo = {0: (1,)}
+
+    def rec(mask):
+        if mask in memo:
+            return memo[mask]
+        v = max((w for w in range(g.n) if mask >> w & 1), key=lambda w: (adj[w] & mask).bit_count())
+        without = rec(mask & ~(1 << v))
+        nbrs = rec(mask & adj[v])
+        out = list(without) + [0] * (len(nbrs) + 1 - len(without))
+        for size, cnt in enumerate(nbrs):
+            out[size + 1] += cnt
+        memo[mask] = tuple(out)
+        return memo[mask]
+
+    prof = rec(g.vertex_mask)
+    return prof + (0,) * (g.n + 1 - len(prof))
+
+
+def test_engine_matches_subset_scan_at_every_size_to_twenty():
+    for n in range(21):
+        rng = rng_for([31, n])
+        graphs = [
+            Graph.empty(n),
+            Graph.complete(n),
+            Graph.from_edges(n, [(0, v) for v in range(1, n)]),  # star
+            random_graph(n, rng),
+        ]
+        if n:
+            symbols = "".join("+-"[b] for b in rng.integers(0, 2, size=n - 1))
+            graphs.append(build(ThresholdCode(symbols)))
+        for g in graphs:
+            scan = profile_by_scan(g).by_size
+            assert clique_profile(g).by_size == scan
+            assert independent_profile(complement(g)).by_size == scan
+
+
+def test_engine_matches_memoized_recursion_on_dense_graphs():
+    for n in (24, 33, 45):
+        for p in (0.2, 0.5, 0.8):
+            g = gnp_graph(n, p, rng_for([37, n, int(p * 10)]))
+            assert clique_profile(g).by_size == _memo_profile(g)
+            assert independent_profile(g).by_size == _memo_profile(complement(g))
+
+
+def _join(parts) -> Graph:
+    """Disjoint union of ``parts`` plus every edge between different parts."""
+    n = sum(part.n for part in parts)
+    full = (1 << n) - 1
+    rows = []
+    offset = 0
+    for part in parts:
+        block = ((1 << part.n) - 1) << offset
+        rows += [(row << offset) | (full ^ block) for row in part.adj]
+        offset += part.n
+    return Graph(n, tuple(rows))
+
+
+def test_sixty_two_vertex_join_is_exact():
+    # a clique of a join picks one clique in every part, so its profile is
+    # the convolution of the parts' profiles; an independent set lies in
+    # one part, so i_t adds up over the parts for t >= 1
+    rng = rng_for([43])
+    parts = [gnp_graph(k, p, rng) for k, p in ((15, 0.2), (15, 0.5), (16, 0.9), (16, 0.95))]
+    joined = _join(parts)
+    assert joined.n == 62
+    conv = [1]
+    for part in parts:
+        prof = profile_by_scan(part).by_size
+        out = [0] * (len(conv) + len(prof) - 1)
+        for a, x in enumerate(conv):
+            for b, y in enumerate(prof):
+                out[a + b] += x * y
+        conv = out
+    assert clique_profile(joined).by_size == tuple(conv)
+    ind = independent_profile(joined).by_size
+    assert ind[0] == 1
+    scans = [profile_by_scan(complement(part)) for part in parts]
+    for t in range(1, 63):
+        assert ind[t] == sum(s.count(t) for s in scans)
+    assert ind[1] == 62 and ind[17] == 0

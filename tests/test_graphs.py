@@ -10,7 +10,7 @@ from ngbounds.graphs import (
 )
 from ngbounds.oracle import rng_for
 
-from helpers import path_graph, random_graph
+from helpers import gnp_graph, path_graph, random_graph
 
 
 def test_construction_rejects_bad_adjacency():
@@ -22,6 +22,25 @@ def test_construction_rejects_bad_adjacency():
         Graph(63, (0,) * 63)
     with pytest.raises(ValueError):
         Graph(2, (0b100, 0b000))  # bit outside vertex range
+
+
+def test_asymmetry_error_names_the_first_pair_in_row_order():
+    # (0, 2) and (1, 2) are both one-sided; (0, 2) comes first
+    with pytest.raises(ValueError, match=r"^adjacency not symmetric at pair \(0, 2\)$"):
+        Graph(3, (0b000, 0b100, 0b001))
+    with pytest.raises(ValueError, match=r"^adjacency not symmetric at pair \(1, 2\)$"):
+        Graph(3, (0b110, 0b101, 0b001))
+
+
+def test_symmetric_rows_pass_validation_at_every_density():
+    for p in (0.0, 0.1, 0.5, 0.9, 1.0):
+        rows = gnp_graph(62, p, rng_for([53, int(p * 10)])).adj
+        assert Graph(62, rows).adj == rows
+        for i, j in ((0, 61), (30, 31), (5, 40)):
+            flipped = list(rows)
+            flipped[j] ^= 1 << i
+            with pytest.raises(ValueError, match=rf"pair \({i}, {j}\)$"):
+                Graph(62, tuple(flipped))
 
 
 def test_complement_fixtures():
