@@ -21,18 +21,20 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
-from math import comb, prod
+from math import prod
 
 from .compression import compress_to_threshold
 from .counting import clique_profile, count_cliques, independent_profile, pi
 from .graphs import Graph6Error, parse_graph6
 from .multicolor import (
     ColoringFormatError,
+    Tournament,
     certificate_length,
     certificate_lower_bound,
     multicolor_upper_bound,
     parse_coloring,
     pigeonhole_sequence,
+    tournament_blocks,
 )
 from .oracle import exhaustive_coloring_extremal, exhaustive_extremal, random_pi_exponent
 from .packing import leading_term_bound
@@ -50,6 +52,8 @@ def _load_graph(args):
 def cmd_count(args) -> int:
     sizes = sorted(set(args.t or []))
     if args.coloring is not None:
+        if sizes:
+            raise ValueError("--t applies to graphs, not to --coloring")
         with open(args.coloring, encoding="ascii") as fh:
             fam = parse_coloring(fh.read())
         print(f"n {fam.n}")
@@ -113,11 +117,10 @@ def cmd_bounds(args) -> int:
         print(f"certificate_bound(r={r}) {certificate_lower_bound(n, r)}")
         print(f"certificate_counts {','.join(map(str, pigeonhole_sequence(n, r, m)))}")
         print(f"product_upper(r={r}) {multicolor_upper_bound(n, r)}")
-        blocks = comb(r, 2)
-        base, extra = divmod(n, blocks)
-        value = 2**n * (2 + base) ** extra * (1 + base) ** (blocks - extra)
-        print(f"construction_value(r={r}) {value}")
-        if extra == 0:
+        sizes = [mask.bit_count() for _, mask in tournament_blocks(n, Tournament.transitive(r))]
+        blocks = len(sizes)
+        print(f"construction_value(r={r}) {2**n * prod(1 + size for size in sizes)}")
+        if n % blocks == 0:
             print(f"construction_floor(r={r}) {2 ** n * (n // blocks) ** blocks}")
         else:
             print(f"construction_floor(r={r}) {2 ** n * (n / blocks) ** blocks:.6e}")

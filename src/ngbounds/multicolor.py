@@ -24,7 +24,7 @@ from itertools import permutations
 from math import comb, factorial, prod
 
 from .counting import count_cliques
-from .graphs import Graph, iter_bits
+from .graphs import MAX_VERTICES, Graph, edge_list, iter_bits
 
 
 class ColoringFormatError(ValueError):
@@ -53,6 +53,23 @@ class GraphFamily:
                 gi, gj = self.members[i], self.members[j]
                 if any(gi.adj[v] & gj.adj[v] for v in range(self.n)):
                     raise ValueError(f"members {i} and {j} share an edge")
+
+    @classmethod
+    def from_colors(cls, n: int, r: int, colors) -> "GraphFamily":
+        """Family of r members from one entry per ``edge_list(n)`` slot: the
+        0-based member index coloring that pair, or None to leave it uncolored."""
+        slots = edge_list(n)
+        if len(colors) != len(slots):
+            raise ValueError(f"expected {len(slots)} slot colors for n={n}, got {len(colors)}")
+        adj = [[0] * n for _ in range(r)]
+        for (u, v), c in zip(slots, colors):
+            if c is None:
+                continue
+            if not 0 <= c < r:
+                raise ValueError(f"color {c} of pair ({u}, {v}) outside 0..{r - 1}")
+            adj[c][u] |= 1 << v
+            adj[c][v] |= 1 << u
+        return cls(n, tuple(Graph(n, tuple(rs)) for rs in adj))
 
     @property
     def r(self) -> int:
@@ -95,10 +112,11 @@ def parse_coloring(text: str) -> GraphFamily:
         n, r = int(parts[0]), int(parts[1])
     except ValueError:
         raise ColoringFormatError(header_at, "header fields must be integers") from None
-    if n < 0 or r < 1:
-        raise ColoringFormatError(header_at, f"need n >= 0 and r >= 1, got n={n} r={r}")
-    rows = [[0] * n for _ in range(r)]
-    seen: set[tuple[int, int]] = set()
+    if not 0 <= n <= MAX_VERTICES or r < 1:
+        raise ColoringFormatError(
+            header_at, f"need 0 <= n <= {MAX_VERTICES} and r >= 1, got n={n} r={r}"
+        )
+    colors: list[int | None] = [None] * comb(n, 2)
     for lineno in range(header_at + 1, len(lines) + 1):
         raw = lines[lineno - 1]
         if not raw.strip() or raw.lstrip().startswith("#"):
@@ -116,13 +134,12 @@ def parse_coloring(text: str) -> GraphFamily:
             raise ColoringFormatError(lineno, f"vertex out of range in ({u}, {v}) with n={n}")
         if not 1 <= c <= r:
             raise ColoringFormatError(lineno, f"color {c} outside 1..{r}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise ColoringFormatError(lineno, f"edge ({key[0]}, {key[1]}) assigned twice")
-        seen.add(key)
-        rows[c - 1][u] |= 1 << v
-        rows[c - 1][v] |= 1 << u
-    return GraphFamily(n, tuple(Graph(n, tuple(rs)) for rs in rows))
+        u, v = min(u, v), max(u, v)
+        slot = u * (2 * n - u - 1) // 2 + v - u - 1  # index of (u, v) in edge_list(n)
+        if colors[slot] is not None:
+            raise ColoringFormatError(lineno, f"edge ({u}, {v}) assigned twice")
+        colors[slot] = c - 1
+    return GraphFamily.from_colors(n, r, colors)
 
 
 def emit_coloring(fam: GraphFamily) -> str:
@@ -406,18 +423,12 @@ def tournament_construction(n: int, r: int, tournament: Tournament) -> GraphFami
     if tournament.size != r:
         raise ValueError(f"tournament has {tournament.size} vertices, expected {r}")
     blocks = tournament_blocks(n, tournament)
-    rows = [[0] * n for _ in range(r)]
-    for (w, _), mask in blocks:
-        for v in iter_bits(mask):
-            rows[w][v] |= mask & ~(1 << v)
-    for a in range(len(blocks)):
-        for b in range(a + 1, len(blocks)):
-            (ea, mask_a), (eb, mask_b) = blocks[a], blocks[b]
-            shared = set(ea) & set(eb)
-            if len(shared) == 1:
-                owner = shared.pop()
-                for v in iter_bits(mask_a):
-                    rows[owner][v] |= mask_b
-                for v in iter_bits(mask_b):
-                    rows[owner][v] |= mask_a
-    return GraphFamily(n, tuple(Graph(n, tuple(rs)) for rs in rows))
+    label = [edge for edge, mask in blocks for _ in range(mask.bit_count())]  # blocks are consecutive
+    colors = []
+    for u, v in edge_list(n):
+        if label[u] == label[v]:
+            colors.append(label[u][0])
+        else:
+            shared = set(label[u]) & set(label[v])
+            colors.append(shared.pop() if shared else None)
+    return GraphFamily.from_colors(n, r, colors)

@@ -17,7 +17,7 @@ identical artifacts on any platform.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, log, log2
 from typing import Optional
 
@@ -267,22 +267,16 @@ def exhaustive_coloring_extremal(n: int, r: int, quantity: str, direction: str) 
     if r < 1:
         raise ValueError("need at least one color")
     m = comb(n, 2)
-    total_colorings = r**m
-    if total_colorings > 2_000_000:
+    if r**m > 2_000_000:
         raise ValueError(f"{r}^{m} colorings is past the enumeration cap")
-    slots = edge_list(n)
     want_max = direction == "max"
     best: Optional[int] = None
     blobs: list[str] = []
     total_wit = 0
-    for code in range(total_colorings):
-        rows = [[0] * n for _ in range(r)]
-        x = code
-        for u, v in slots:
-            x, c = divmod(x, r)
-            rows[c][u] |= 1 << v
-            rows[c][v] |= 1 << u
-        fam = GraphFamily(n, tuple(Graph(n, tuple(rs)) for rs in rows))
+    # code order: slot 0 is the least significant base-r digit, so reverse
+    # product's tuples, whose last entry varies fastest
+    for digits in product(range(r), repeat=m):
+        fam = GraphFamily.from_colors(n, r, digits[::-1])
         val = _eval_coloring_quantity(fam, quantity)
         if best is None or (val > best if want_max else val < best):
             best = val
@@ -325,13 +319,8 @@ def sample_random_coloring(n: int, r: int, seed: int, partial: bool = False) -> 
         raise ValueError("need at least one color")
     rng = rng_for([seed])
     lo = 0 if partial else 1
-    rows = [[0] * n for _ in range(r)]
-    for u, v in edge_list(n):
-        c = int(rng.integers(lo, r + 1))
-        if c:
-            rows[c - 1][u] |= 1 << v
-            rows[c - 1][v] |= 1 << u
-    return GraphFamily(n, tuple(Graph(n, tuple(rs)) for rs in rows))
+    draws = [int(rng.integers(lo, r + 1)) for _ in range(comb(n, 2))]
+    return GraphFamily.from_colors(n, r, [c - 1 if c else None for c in draws])
 
 
 def random_tournament(size: int, seed: int) -> Tournament:
@@ -379,11 +368,12 @@ class ExponentReport:
 def random_pi_exponent(n: int, trials: int, seed: int) -> ExponentReport:
     """Sample G(n, 1/2) ``trials`` times and log the product exponent ratio.
 
-    Trial i uses SeedSequence([seed, i]).  Capped at n <= 50, where exact
-    counting stays fast because random graphs have only small cliques.
+    Trial i uses SeedSequence([seed, i]).  Every graph size, 2 <= n <= 62,
+    is allowed: random graphs have only small cliques, so exact counting
+    stays fast up to the 62-vertex cap.
     """
-    if not 2 <= n <= 50:
-        raise ValueError(f"exponent sampling needs 2 <= n <= 50, got {n}")
+    if not 2 <= n <= 62:
+        raise ValueError(f"exponent sampling needs 2 <= n <= 62, got {n}")
     if trials < 1:
         raise ValueError("need at least one trial")
     denom = log(n) * log2(n)

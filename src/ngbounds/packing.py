@@ -173,24 +173,6 @@ def border_integrals(path: BorderPath, t: int) -> tuple[float, float]:
     return ix, iy
 
 
-def _turn_count(b, r: int) -> int:
-    prev = None
-    turns = 0
-    h = 0
-    for x in b:
-        if x > h:
-            if prev == "R":
-                turns += 1
-            prev = "U"
-            h = x
-        if prev == "U":
-            turns += 1
-        prev = "R"
-    if r > h and prev == "R":
-        turns += 1
-    return turns
-
-
 def discrete_border_max(r: int, s: int, t: int) -> tuple[BorderPath, Fraction]:
     """Exhaustively maximize the scaled size-t count product over all monotone
     lattice paths in the r x s rectangle.
@@ -230,7 +212,7 @@ def discrete_border_max(r: int, s: int, t: int) -> tuple[BorderPath, Fraction]:
         val = (rt + t * sb) * (st + t * sa)
         if val < best_val:
             continue
-        turns = _turn_count(b, r)
+        turns = border_from_heights(b, r).turns
         if val > best_val or turns < best_turns or (turns == best_turns and b < best_b):
             best_val, best_turns, best_b = val, turns, b
     assert best_b is not None

@@ -9,12 +9,11 @@ report alone.  The CLI ``verify`` command is a thin wrapper around these.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product as iproduct
 from math import comb, factorial, prod
 
 from .compression import compress, compress_to_threshold
 from .counting import clique_profile, independent_profile, pi_t
-from .graphs import Graph, complement, edge_list, emit_graph6
+from .graphs import Graph, complement, emit_graph6
 from .multicolor import (
     GraphFamily,
     count_covering_tuples,
@@ -28,7 +27,7 @@ from .multicolor import (
     tournament_blocks,
     tournament_construction,
 )
-from .oracle import _graph_from_rng, exhaustive_extremal, rng_for
+from .oracle import _graph_from_rng, exhaustive_coloring_extremal, exhaustive_extremal, rng_for
 from .packing import discrete_border_max
 from .threshold import ThresholdCode, build, closed_form_counts, recognize, split_degrees
 
@@ -50,15 +49,6 @@ class Report:
         self.lines.append("VIOLATION: " + line)
         if artifact is not None and len(self.counterexamples) < MAX_COUNTEREXAMPLES:
             self.counterexamples.append(artifact)
-
-
-def _coloring_from_rng(n: int, r: int, rng) -> GraphFamily:
-    rows = [[0] * n for _ in range(r)]
-    for u, v in edge_list(n):
-        c = int(rng.integers(0, r))
-        rows[c][u] |= 1 << v
-        rows[c][v] |= 1 << u
-    return GraphFamily(n, tuple(Graph(n, tuple(rs)) for rs in rows))
 
 
 def _profile_pair(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -206,7 +196,7 @@ def verify_multicolor(trials: int = 100, seed: int = 23) -> Report:
         n = int(rng.integers(2, 9))
         r = int(rng.integers(2, 4))
         q = int(rng.integers(0, min(3, n) + 1))
-        fam = _coloring_from_rng(n, r, rng)
+        fam = GraphFamily.from_colors(n, r, [int(rng.integers(0, r)) for _ in range(comb(n, 2))])
         blob = emit_coloring(fam)
 
         low = prod(pigeonhole_sequence(n, r, q))
@@ -228,35 +218,23 @@ def verify_multicolor(trials: int = 100, seed: int = 23) -> Report:
 
     n, r = 4, 3
     cap = (r - 1) * (n + 1) + 2**n
-    hits = 0
-    slots = edge_list(n)
-    for colors in iproduct(range(r), repeat=len(slots)):
-        rows = [[0] * n for _ in range(r)]
-        for (u, v), c in zip(slots, colors):
-            rows[c][u] |= 1 << v
-            rows[c][v] |= 1 << u
-        fam = GraphFamily(n, tuple(Graph(n, tuple(rs)) for rs in rows))
-        total = sum_clique_counts(fam)
-        if total > cap:
-            rep.fail(f"sum {total} exceeds {cap} on a 3-coloring of 4 vertices", emit_coloring(fam))
-        if total == cap:
-            hits += 1
-            if len(set(colors)) != 1:
-                rep.fail("sum bound attained by a non-monochromatic coloring", emit_coloring(fam))
+    rec = exhaustive_coloring_extremal(n, r, "sum", "max")
+    if rec.value > cap:
+        rep.fail(f"sum {rec.value} exceeds {cap} on a 3-coloring of 4 vertices", rec.witnesses[0])
+    hits = rec.total_witnesses if rec.value == cap else 0
+    if hits:
+        mono = {emit_coloring(GraphFamily.from_colors(n, r, [c] * comb(n, 2))) for c in range(r)}
+        for blob in sorted(set(rec.witnesses) - mono):
+            rep.fail("sum bound attained by a non-monochromatic coloring", blob)
     if hits != r:
         rep.fail(f"expected exactly {r} extremal colorings, found {hits}")
-    rep.note(f"all {r ** len(slots)} total 3-colorings of 4 vertices: sum <= {cap}, {hits} extremal")
+    rep.note(f"all {r ** comb(n, 2)} total 3-colorings of 4 vertices: sum <= {cap}, {hits} extremal")
 
     for trial in range(trials):
         rng = rng_for([seed, 10_000 + trial])
         n = int(rng.integers(1, 7))
-        rows = [[0] * n for _ in range(3)]
-        for u, v in edge_list(n):
-            c = int(rng.integers(0, 4))
-            if c:
-                rows[c - 1][u] |= 1 << v
-                rows[c - 1][v] |= 1 << u
-        fam = GraphFamily(n, tuple(Graph(n, tuple(rs)) for rs in rows))
+        draws = [int(rng.integers(0, 4)) for _ in range(comb(n, 2))]
+        fam = GraphFamily.from_colors(n, 3, [c - 1 if c else None for c in draws])
         blob = emit_coloring(fam)
         cover = count_covering_tuples(fam)
         cap = (4 * fam.r - 2) ** (fam.r * (fam.r - 1)) * n ** comb(fam.r, 2)

@@ -1,6 +1,7 @@
 """Small graph builders shared across test modules."""
 
 from ngbounds import Graph
+from ngbounds.oracle import _graph_from_rng
 
 
 def path_graph(n: int) -> Graph:
@@ -13,13 +14,8 @@ def cycle_graph(n: int) -> Graph:
 
 
 def random_graph(n: int, rng) -> Graph:
-    m = n * (n - 1) // 2
-    mask = 0
-    if m:
-        for i, bit in enumerate(rng.integers(0, 2, size=m)):
-            if bit:
-                mask |= 1 << i
-    return Graph.from_edge_mask(n, mask)
+    """G(n, 1/2) drawn from ``rng``, by the library's own sampler."""
+    return _graph_from_rng(n, rng)
 
 
 def gnp_graph(n: int, p: float, rng) -> Graph:

@@ -263,12 +263,7 @@ def test_acceptance_09_good_sequence_sandwich():
         n = int(rng.integers(2, 9))
         r = int(rng.integers(2, 4))
         q = int(rng.integers(0, min(3, n) + 1))
-        rows = [[0] * n for _ in range(r)]
-        for u, v in edge_list(n):
-            c = int(rng.integers(0, r))
-            rows[c][u] |= 1 << v
-            rows[c][v] |= 1 << u
-        fam = GraphFamily(n, tuple(Graph(n, tuple(rs)) for rs in rows))
+        fam = GraphFamily.from_colors(n, r, [int(rng.integers(0, r)) for _ in edge_list(n)])
         low = prod(pigeonhole_sequence(n, r, q))
         mid = count_good_sequences(fam, q)
         high = factorial(q) * product_clique_counts(fam)
@@ -298,24 +293,14 @@ def test_acceptance_11_covering_tuple_bounds():
         cap_prod = multicolor_upper_bound(n, 2)
         slots = edge_list(n)
         for colors in iproduct(range(3), repeat=len(slots)):
-            rows = [[0] * n, [0] * n]
-            for (u, v), c in zip(slots, colors):
-                if c:
-                    rows[c - 1][u] |= 1 << v
-                    rows[c - 1][v] |= 1 << u
-            fam = GraphFamily(n, (Graph(n, tuple(rows[0])), Graph(n, tuple(rows[1]))))
+            fam = GraphFamily.from_colors(n, 2, [c - 1 if c else None for c in colors])
             if count_covering_tuples(fam) > cap_cover or product_clique_counts(fam) > cap_prod:
                 ok = False
     for trial in range(1000):
         rng = rng_for([31337, trial])
         n = int(rng.integers(1, 7))
-        rows = [[0] * n for _ in range(3)]
-        for u, v in edge_list(n):
-            c = int(rng.integers(0, 4))
-            if c:
-                rows[c - 1][u] |= 1 << v
-                rows[c - 1][v] |= 1 << u
-        fam = GraphFamily(n, tuple(Graph(n, tuple(rs)) for rs in rows))
+        draws = [int(rng.integers(0, 4)) for _ in edge_list(n)]
+        fam = GraphFamily.from_colors(n, 3, [c - 1 if c else None for c in draws])
         cap_cover = (4 * 3 - 2) ** (3 * 2) * n ** comb(3, 2)
         if count_covering_tuples(fam) > cap_cover:
             ok = False

@@ -58,6 +58,22 @@ def test_count_coloring_error_names_line(tmp_path, capsys):
     assert "line 3" in err
 
 
+def test_count_coloring_rejects_huge_header(tmp_path, capsys):
+    path = tmp_path / "fam.txt"
+    path.write_text("100 2\n")
+    code, out, err = run(capsys, "count", "--coloring", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: line 1")
+
+
+def test_count_coloring_rejects_t(tmp_path, capsys):
+    path = tmp_path / "fam.txt"
+    path.write_text("3 2\n0 1 1\n")
+    code, out, err = run(capsys, "count", "--coloring", str(path), "--t", "9")
+    assert (code, out) == (2, "")
+    assert "--t" in err
+
+
 def test_compress_command(tmp_path, capsys):
     g6 = emit_graph6(cycle_graph(4))
     code, out, _ = run(capsys, "compress", "--graph6", g6)

@@ -61,6 +61,34 @@ def test_coloring_text_round_trip():
         assert all(a == b for a, b in zip(again.members, fam.members))
 
 
+def test_from_colors_round_trip():
+    for seed in range(20):
+        rng = rng_for([5, seed])
+        n, r = int(rng.integers(0, 9)), int(rng.integers(1, 5))
+        colors = [None if x == r else x for x in (int(rng.integers(0, r + 1)) for _ in edge_list(n))]
+        fam = GraphFamily.from_colors(n, r, colors)
+        assert [fam.color_of(u, v) for u, v in edge_list(n)] == colors
+        assert parse_coloring(emit_coloring(fam)) == fam
+
+
+def test_from_colors_leaves_none_uncolored():
+    fam = GraphFamily.from_colors(3, 2, [1, None, 0])
+    assert fam.members == (Graph.from_edges(3, [(1, 2)]), Graph.from_edges(3, [(0, 1)]))
+    assert fam.color_of(0, 2) is None and not fam.covers_all_edges
+    assert emit_coloring(fam) == "3 2\n0 1 2\n1 2 1\n"
+
+
+def test_from_colors_rejects_bad_entries():
+    with pytest.raises(ValueError, match="color 2 of pair"):
+        GraphFamily.from_colors(3, 2, [0, 2, 1])
+    with pytest.raises(ValueError, match="color -1 of pair"):
+        GraphFamily.from_colors(3, 2, [0, 1, -1])
+    with pytest.raises(ValueError, match="expected 3 slot colors"):
+        GraphFamily.from_colors(3, 2, [0, 1])
+    with pytest.raises(ValueError, match="expected 3 slot colors"):
+        GraphFamily.from_colors(3, 2, [0, 1, 0, 1])
+
+
 def test_coloring_parse_errors_carry_line_numbers():
     with pytest.raises(ColoringFormatError) as err:
         parse_coloring("")
@@ -77,6 +105,9 @@ def test_coloring_parse_errors_carry_line_numbers():
         parse_coloring("3 2\n1 1 1\n")
     with pytest.raises(ColoringFormatError):
         parse_coloring("3\n")
+    with pytest.raises(ColoringFormatError) as err:
+        parse_coloring("# header next\n63 2\n")
+    assert err.value.line == 2 and "n <= 62" in str(err.value)
 
 
 def test_pigeonhole_sequences():
@@ -206,11 +237,7 @@ def test_multicolor_upper_bound_fixtures():
     best = 0
     slots = edge_list(4)
     for colors in iproduct(range(3), repeat=len(slots)):
-        rows = [[0] * 4 for _ in range(3)]
-        for (u, v), c in zip(slots, colors):
-            rows[c][u] |= 1 << v
-            rows[c][v] |= 1 << u
-        fam = GraphFamily(4, tuple(Graph(4, tuple(rs)) for rs in rows))
+        fam = GraphFamily.from_colors(4, 3, colors)
         best = max(best, product_clique_counts(fam))
     assert best <= multicolor_upper_bound(4, 3)
 

@@ -4,6 +4,8 @@ import pytest
 
 from ngbounds import (
     Graph,
+    GraphFamily,
+    emit_coloring,
     emit_graph6,
     exhaustive_coloring_extremal,
     exhaustive_extremal,
@@ -99,6 +101,11 @@ def test_coloring_extremal_product():
     low = exhaustive_coloring_extremal(3, 3, "product", "min")
     assert low.value >= certificate_lower_bound(3, 3)
     assert low.recheck()
+    # witnesses come in code order: slot 0 is the least significant digit
+    mixed = exhaustive_coloring_extremal(3, 2, "product", "min")
+    assert mixed.value == 30
+    want = [[(code >> slot) & 1 for slot in range(3)] for code in range(1, 7)]
+    assert list(mixed.witnesses) == [emit_coloring(GraphFamily.from_colors(3, 2, c)) for c in want]
 
 
 def test_coloring_extremal_guard():
@@ -163,5 +170,7 @@ def test_random_pi_exponent():
     assert summary["min"] <= summary["median"] <= summary["max"]
     with pytest.raises(ValueError):
         random_pi_exponent(1, 5, 0)
-    with pytest.raises(ValueError):
-        random_pi_exponent(60, 5, 0)
+    with pytest.raises(ValueError, match="exponent sampling"):
+        random_pi_exponent(63, 5, 0)
+    top = random_pi_exponent(62, trials=2, seed=123)
+    assert len(top.products) == 2 and all(math.isfinite(x) and x > 0 for x in top.ratios)
