@@ -42,49 +42,47 @@ def neighborhood_partition(g: Graph, x: int, y: int) -> NeighborhoodPartition:
     return NeighborhoodPartition(ax & ~ay, ay & ~ax, ax & ay, rest & ~ax & ~ay)
 
 
+def _move(rows: list[int], x: int, y: int) -> int:
+    """Move x's private neighbors over to y in the bit-rows ``rows``, in place.
+    Returns the moved set; only rows x, y and the moved vertices change."""
+    bit_x, bit_y = 1 << x, 1 << y
+    moved = rows[x] & ~rows[y] & ~bit_y
+    rows[x] &= ~moved
+    rows[y] |= moved
+    for v in iter_bits(moved):
+        rows[v] = (rows[v] & ~bit_x) | bit_y
+    return moved
+
+
 def compress(g: Graph, x: int, y: int) -> Graph:
     """Move x's private neighbors over to y; the edge (or non-edge) xy and all
     edges not touching the pair are unchanged."""
-    part = neighborhood_partition(g, x, y)
-    moved = part.only_x
-    if not moved:
-        return g
+    if x == y:
+        raise ValueError("x and y must be distinct")
     rows = list(g.adj)
-    rows[x] &= ~moved
-    rows[y] |= moved
-    bit_x = 1 << x
-    bit_y = 1 << y
-    for v in iter_bits(moved):
-        rows[v] = (rows[v] & ~bit_x) | bit_y
-    return Graph(g.n, tuple(rows))
+    return Graph(g.n, tuple(rows)) if _move(rows, x, y) else g
 
 
-def _next_pivot(g: Graph) -> tuple[int, int] | None:
-    """Smallest applicable pivot (source, target), or None when the graph is
-    already threshold.
+def _next_pivot(rows: list[int], degs: list[int]) -> tuple[int, int] | None:
+    """Smallest applicable pivot (source, target) of the bit-rows ``rows`` with
+    degrees ``degs``, or None when the graph is already threshold.
 
     A pair is applicable when both vertices have private neighbors (i.e. it
-    witnesses that closed neighborhoods are not nested).  The pair is
-    oriented so the target has degree >= the source (ties: lower index is
-    the target); this makes the sum of squared degrees strictly increase at
-    every applied pivot, which bounds the pivot count.  Among applicable
-    oriented pairs the lexicographically smallest is chosen, so pivot traces
-    are reproducible.
+    witnesses that closed neighborhoods are not nested).  It is oriented so
+    the target has degree >= the source (ties: lower index is the target);
+    this makes the sum of squared degrees strictly increase at every applied
+    pivot, which bounds the pivot count.  The scan is source-first: for
+    s = 0, 1, ... it tries, in increasing order, each w that would be the
+    target of the pair {s, w}.  An applicable pair has one orientation, so
+    the first hit is the lexicographically smallest applicable oriented
+    pair: the pivot a scan of every pair picks, so traces are reproducible.
     """
-    degs = [row.bit_count() for row in g.adj]
-    best: tuple[int, int] | None = None
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            part = neighborhood_partition(g, u, v)
-            if part.only_x and part.only_y:
-                if degs[v] > degs[u]:
-                    cand = (u, v)
-                else:
-                    # deg(u) > deg(v), or tie broken to the lower index u
-                    cand = (v, u)
-                if best is None or cand < best:
-                    best = cand
-    return best
+    for s, (row_s, deg_s) in enumerate(zip(rows, degs)):
+        not_s = ~row_s & ~(1 << s)
+        for w, (row_w, deg_w) in enumerate(zip(rows, degs)):
+            if (deg_w > deg_s or (deg_w == deg_s and w < s)) and row_w & not_s and row_s & ~row_w & ~(1 << w):
+                return s, w
+    return None
 
 
 def compress_to_threshold(g: Graph) -> tuple[Graph, list[tuple[int, int]]]:
@@ -94,11 +92,13 @@ def compress_to_threshold(g: Graph) -> tuple[Graph, list[tuple[int, int]]]:
     The output passes threshold recognition, and the sum/product quantities
     never decrease along the trace.
     """
+    rows = list(g.adj)
+    degs = [row.bit_count() for row in rows]
     pivots: list[tuple[int, int]] = []
-    cur = g
-    while True:
-        pivot = _next_pivot(cur)
-        if pivot is None:
-            return cur, pivots
-        cur = compress(cur, pivot[0], pivot[1])
+    while (pivot := _next_pivot(rows, degs)) is not None:
+        x, y = pivot
+        k = _move(rows, x, y).bit_count()  # a moved vertex swaps x for y: its degree stays
+        degs[x] -= k
+        degs[y] += k
         pivots.append(pivot)
+    return Graph(g.n, tuple(rows)), pivots

@@ -18,9 +18,10 @@ partial (some pairs uncolored).  Provided here:
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb, factorial, prod
 
 from .counting import count_cliques
@@ -48,11 +49,14 @@ class GraphFamily:
         for idx, g in enumerate(self.members):
             if g.n != self.n:
                 raise ValueError(f"member {idx} has {g.n} vertices, expected {self.n}")
-        for i in range(len(self.members)):
-            for j in range(i + 1, len(self.members)):
-                gi, gj = self.members[i], self.members[j]
-                if any(gi.adj[v] & gj.adj[v] for v in range(self.n)):
-                    raise ValueError(f"members {i} and {j} share an edge")
+        # one int per member, row v at bit 64 v, tested against the union of the earlier ones
+        packed = [int.from_bytes(array("Q", g.adj).tobytes(), "little") for g in self.members]
+        union = 0
+        for bits in packed:
+            if union & bits:
+                i, j = next((i, j) for i, j in combinations(range(len(packed)), 2) if packed[i] & packed[j])
+                raise ValueError(f"members {i} and {j} share an edge")
+            union |= bits
 
     @classmethod
     def from_colors(cls, n: int, r: int, colors) -> "GraphFamily":

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb, log, log2
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
@@ -103,18 +104,10 @@ def _popcount64(arr: np.ndarray) -> np.ndarray:
 def _subset_pairmasks(n: int, t: Optional[int]) -> list[int]:
     """Edge-slot requirement mask of each tracked vertex subset."""
     slots = {e: i for i, e in enumerate(edge_list(n))}
-    if t is None:
-        sizes = range(n + 1)
-    else:
-        sizes = [t]
     out = []
-    for size in sizes:
+    for size in range(n + 1) if t is None else [t]:
         for verts in combinations(range(n), size):
-            pm = 0
-            for a in range(len(verts)):
-                for b in range(a + 1, len(verts)):
-                    pm |= 1 << slots[(verts[a], verts[b])]
-            out.append(pm)
+            out.append(sum(1 << slots[pair] for pair in combinations(verts, 2)))
     return out
 
 
@@ -231,16 +224,9 @@ def merge_records(records) -> ExtremalRecord:
     if not records:
         raise ValueError("nothing to merge")
     head = records[0]
-    for rec in records[1:]:
-        if (rec.n, rec.quantity, rec.direction, rec.t, rec.kind, rec.r) != (
-            head.n,
-            head.quantity,
-            head.direction,
-            head.t,
-            head.kind,
-            head.r,
-        ):
-            raise ValueError("cannot merge records of different scans")
+    scan = attrgetter("n", "quantity", "direction", "t", "kind", "r")
+    if any(scan(rec) != scan(head) for rec in records):
+        raise ValueError("cannot merge records of different scans")
     live = [rec for rec in records if rec.value is not None]
     if not live:
         raise ValueError("all shards were empty")
@@ -292,11 +278,7 @@ def exhaustive_coloring_extremal(n: int, r: int, quantity: str, direction: str) 
 def _graph_from_rng(n: int, rng: np.random.Generator) -> Graph:
     m = n * (n - 1) // 2
     bits = rng.integers(0, 2, size=m)
-    mask = 0
-    for i in range(m):
-        if bits[i]:
-            mask |= 1 << i
-    return Graph.from_edge_mask(n, mask)
+    return Graph.from_edge_mask(n, sum(1 << int(i) for i in np.flatnonzero(bits)))
 
 
 def sample_random_graph(n: int, seed: int) -> Graph:

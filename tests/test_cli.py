@@ -1,12 +1,16 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from ngbounds import Graph, emit_graph6
+from ngbounds import Graph, emit_graph6, multicolor_upper_bound
 from ngbounds.cli import main
 from ngbounds.verify import SUITES, Report
 
 from helpers import cycle_graph
+
+TRACE_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / "compress_trace"
 
 
 def run(capsys, *argv):
@@ -88,6 +92,12 @@ def test_compress_command(tmp_path, capsys):
     assert code2 == 0 and out2 == out
 
 
+def test_compress_command_at_62_vertices(capsys):
+    expected = json.loads((TRACE_INPUTS / "expected.json").read_text(encoding="utf-8"))["g01"]
+    code, out, _ = run(capsys, "compress", "--graph6-file", str(TRACE_INPUTS / "g01.g6"))
+    assert (code, out) == (expected["exit"], expected["stdout"])
+
+
 def test_bounds_command(capsys):
     code, out, _ = run(capsys, "bounds", "--t", "3", "--n", "100")
     assert code == 0
@@ -128,6 +138,16 @@ def test_bounds_rejects_bad_sizes_before_printing(capsys):
     assert (code, out) == (2, "") and "n=-1" in err
     code, out, err = run(capsys, "bounds", "--t", "2", "--n", "5")
     assert (code, out) == (2, "") and "t >= 3" in err
+
+
+def test_bounds_rejects_an_unprintable_r_before_printing(capsys):
+    for r in ("41", "100"):  # 41 is built and measured; at 100, r(r-1) alone rules it out
+        code, out, err = run(capsys, "bounds", "--t", "3", "--n", "9", "--r", r)
+        assert (code, out) == (2, "")
+        assert f"--r {r} is too large" in err
+    code, out, _ = run(capsys, "bounds", "--t", "3", "--n", "9", "--r", "40")
+    assert code == 0
+    assert out.splitlines()[-3] == f"product_upper(r=40) {multicolor_upper_bound(9, 40)}"
 
 
 def test_verify_known_suite(capsys):

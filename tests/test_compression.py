@@ -1,4 +1,8 @@
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ngbounds import (
     Graph,
@@ -9,12 +13,39 @@ from ngbounds import (
     count_independent_sets,
     independent_profile,
     neighborhood_partition,
+    parse_graph6,
     pi,
 )
+from ngbounds.compression import _next_pivot
 from ngbounds.oracle import rng_for
 from ngbounds.threshold import ThresholdCode, build, recognize
 
-from helpers import cycle_graph, random_graph
+from helpers import cycle_graph, gnp_graph, random_graph
+
+TRACE_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / "compress_trace"
+
+
+def _full_scan_pivot(g):
+    """Oracle: the pivot search as a scan of every pair, one
+    ``NeighborhoodPartition`` and one ``Graph`` per pivot."""
+    degs = [row.bit_count() for row in g.adj]
+    best = None
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            part = neighborhood_partition(g, u, v)
+            if part.only_x and part.only_y:
+                cand = (u, v) if degs[v] > degs[u] else (v, u)
+                if best is None or cand < best:
+                    best = cand
+    return best
+
+
+def _full_scan_compress_to_threshold(g):
+    pivots = []
+    while (pivot := _full_scan_pivot(g)) is not None:
+        g = compress(g, *pivot)
+        pivots.append(pivot)
+    return g, pivots
 
 
 def test_partition_fixtures():
@@ -150,3 +181,54 @@ def test_squared_degree_sum_strictly_increases():
             metric = nxt
         assert cur == final
         assert recognize(final) is not None
+
+
+def test_c4_and_c5_pivot_lists():
+    out4, pivots4 = compress_to_threshold(cycle_graph(4))
+    assert pivots4 == [(1, 0)]
+    assert out4.adj == (0b1110, 0b0001, 0b1001, 0b0101)
+    out5, pivots5 = compress_to_threshold(cycle_graph(5))
+    assert pivots5 == [(1, 0), (1, 3)]
+    assert out5.adj == (0b11100, 0, 0b01001, 0b10101, 0b01001)
+
+
+def test_next_pivot_on_rows():
+    # P_3 is threshold: the edge 01 makes 1 adjacent to 0, not a private neighbor of 0
+    assert _next_pivot([0b010, 0b101, 0b010], [1, 2, 1]) is None
+    assert _next_pivot(list(cycle_graph(4).adj), [2, 2, 2, 2]) == (1, 0)
+    # the degrees decide the orientation: with deg 0 < deg 1 vertex 0 is the source
+    assert _next_pivot(list(cycle_graph(4).adj), [1, 2, 2, 2]) == (0, 1)
+
+
+def test_pivot_search_matches_full_scan_on_seeded_graphs():
+    for n in range(2, 31):
+        for p in (0.1, 0.3, 0.5, 0.7, 0.9):
+            g = gnp_graph(n, p, rng_for([53, n, int(p * 10)]))
+            assert compress_to_threshold(g) == _full_scan_compress_to_threshold(g), (n, p)
+
+
+@pytest.mark.parametrize("name", ["g01", "g02", "g03", "g04"])
+def test_pivot_search_matches_full_scan_on_trace_inputs(name):
+    g = parse_graph6((TRACE_INPUTS / f"{name}.g6").read_text(encoding="ascii").strip())
+    assert compress_to_threshold(g) == _full_scan_compress_to_threshold(g)
+
+
+@st.composite
+def graphs(draw, n_max: int = 16):
+    n = draw(st.integers(1, n_max))  # threshold codes start at one vertex
+    mask = draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1))
+    return Graph.from_edge_mask(n, mask)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(graphs())
+def test_pivots_replay_and_follow_the_orientation_rule(g):
+    final, pivots = compress_to_threshold(g)
+    cur = g
+    for x, y in pivots:
+        part = neighborhood_partition(cur, x, y)
+        assert part.only_x and part.only_y
+        assert cur.degree(y) > cur.degree(x) or (cur.degree(y) == cur.degree(x) and y < x)
+        cur = compress(cur, x, y)
+    assert cur == final
+    assert recognize(final) is not None

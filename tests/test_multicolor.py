@@ -44,6 +44,21 @@ def test_family_validation():
     assert fam.color_of(0, 1) == 0
 
 
+def test_family_names_the_first_overlapping_pair():
+    n = 4
+    members = (
+        Graph.from_edges(n, [(0, 1)]),
+        Graph.from_edges(n, [(2, 3)]),
+        Graph.from_edges(n, [(2, 3)]),
+        Graph.from_edges(n, [(0, 1)]),
+    )
+    # the running union meets (1, 2) first; the error still names the smallest pair (0, 3)
+    with pytest.raises(ValueError, match=r"members 0 and 3 share an edge"):
+        GraphFamily(n, members)
+    with pytest.raises(ValueError, match=r"members 1 and 2 share an edge"):
+        GraphFamily(n, members[:3])
+
+
 def test_covers_all_edges_flag():
     n = 4
     partial = GraphFamily(n, (Graph.from_edges(n, [(0, 1)]), Graph.from_edges(n, [(2, 3)])))
