@@ -70,19 +70,12 @@ from .packing import (
     BorderPath,
     LeadingTermBound,
     border_from_heights,
-    border_integrals,
     conjugate,
-    critical_ratio,
     discrete_border_max,
     leading_term_bound,
     majorizes,
-    numeric_split_root,
-    one_turn_max,
     one_turn_value,
     packed_pair,
-    ratio_equation_residual,
-    simplex_grid_max,
-    two_turn_product,
 )
 from .threshold import (
     SplitDegrees,

@@ -100,11 +100,14 @@ def cmd_bounds(args) -> int:
     t, n, r = args.t, args.n, args.r
     if n < 0:
         raise ValueError(f"vertex count n={n} is negative")
-    m = certificate_length(n, r) if r is not None else None
     limit = sys.get_int_max_str_digits()
+    # 2^(10/3) > 10, so for 3n >= 10 * limit pi_upper >= 10^limit: such an n is refused before it is built
+    if limit and (3 * n >= 10 * limit or (n + 1) * 2**n >= 10**limit):
+        raise ValueError(f"--n {n} is too large: pi_upper(n={n}) has more than {limit} digits")
+    m = certificate_length(n, r) if r is not None else None
     # for n >= 1 and r >= 3, product_upper >= 10^(r(r-1)): such an r is refused before it is built
     if m is not None and limit and (n and r * (r - 1) >= limit or multicolor_upper_bound(n, r) >= 10**limit):
-        raise ValueError(f"--r {r} is too large: product_upper(r={r}) has more than {limit} digits")
+        raise ValueError(f"--r {r} is too large for --n {n}: product_upper(r={r}) has more than {limit} digits")
     g = parse_graph6(args.graph6.strip()) if args.graph6 is not None else None
     if g is not None and g.n != n:
         raise ValueError(f"--graph6 instance has {g.n} vertices, --n says {n}")

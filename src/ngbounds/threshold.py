@@ -18,9 +18,10 @@ degree sequences across that split (``closed_form_counts``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import ceil, comb
 
 from .graphs import Graph, iter_bits
+from .packing import leading_term_bound
 
 _ALPHABET = frozenset("+-")
 
@@ -168,10 +169,6 @@ def extremal_one_turn_codes(n: int, t: int) -> tuple[ThresholdCode, ThresholdCod
     union of a clique and an independent set, the clique being the large
     one.  The two graphs are complements, so their size-t products agree.
     """
-    from math import ceil
-
-    from .packing import leading_term_bound
-
     if n < 1:
         raise ValueError("need at least one vertex")
     big = min(max(ceil(leading_term_bound(t).split * n), 1), n)

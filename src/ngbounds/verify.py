@@ -28,7 +28,7 @@ from .multicolor import (
     tournament_construction,
 )
 from .oracle import _graph_from_rng, exhaustive_coloring_extremal, exhaustive_extremal, rng_for
-from .packing import discrete_border_max
+from .packing import MAX_RECTANGLE, discrete_border_max
 from .threshold import ThresholdCode, build, closed_form_counts, recognize, split_degrees
 
 MAX_COUNTEREXAMPLES = 10
@@ -162,6 +162,8 @@ def verify_borders(t: int = 3, n_max: int = 20) -> Report:
     also confirms the value is symmetric under swapping r and s, so
     restricting to r <= s would lose nothing.
     """
+    if not 0 <= n_max <= MAX_RECTANGLE:
+        raise ValueError(f"border scan is capped at 0 <= n_max <= {MAX_RECTANGLE}, got {n_max}")
     rep = Report("borders")
     local_multi_turn = 0
     for n in range(n_max + 1):

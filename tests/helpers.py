@@ -1,6 +1,9 @@
-"""Small graph builders shared across test modules."""
+"""Small graph builders and exact polynomial certificates shared across test modules."""
 
-from ngbounds import Graph
+from fractions import Fraction
+from math import comb
+
+from ngbounds import Graph, one_turn_value
 from ngbounds.oracle import _graph_from_rng
 
 
@@ -27,3 +30,95 @@ def gnp_graph(n: int, p: float, rng) -> Graph:
             if hit:
                 mask |= 1 << i
     return Graph.from_edge_mask(n, mask)
+
+
+# Exact certificates for the continuous border analysis.  Polynomials are
+# coefficient lists, lowest degree first, evaluated at ints or Fractions.
+
+
+def poly_at(coeffs, x):
+    """sum coeffs[k] * x^k by Horner's rule, exact for int or Fraction x."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def sign_changes(coeffs) -> int:
+    """Sign changes along the non-zero coefficients; by Descartes' rule of
+    signs a count of 1 means exactly one positive root."""
+    signs = [c > 0 for c in coeffs if c]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+def split_polynomial(t: int) -> tuple[int, int, int]:
+    """P_t(q) = 2(t-1)q^2 - (t-2)q - 1, whose root in (0, 1) is the optimal
+    one-turn split."""
+    return (-1, -(t - 2), 2 * (t - 1))
+
+
+def ratio_polynomial(t: int) -> list[int]:
+    """R_t(lam) = (1 + lam)^(t-1) - 1 - (t-1)^2 lam: an interior critical
+    point (a, b, c) of the two-turn product forces R_t(b/a) = 0."""
+    coeffs = [comb(t - 1, k) for k in range(t)]
+    coeffs[0] -= 1
+    coeffs[1] -= (t - 1) ** 2
+    return coeffs
+
+
+class Dual:
+    """a + b*eps with eps^2 = 0.  A polynomial evaluated at Dual(q, 1)
+    carries its exact value in ``a`` and its exact derivative in ``b``."""
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+
+    def __radd__(self, c):
+        return Dual(c + self.a, self.b)
+
+    def __rsub__(self, c):
+        return Dual(c - self.a, -self.b)
+
+    def __mul__(self, other):
+        if not isinstance(other, Dual):
+            return Dual(self.a * other, self.b * other)
+        return Dual(self.a * other.a, self.a * other.b + self.b * other.a)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        return Dual(self.a**k, k * self.a ** (k - 1) * self.b)
+
+
+def one_turn_slope_identity(t: int) -> bool:
+    """Whether q(1-q)(1+(t-1)q) f'(q) = -t P_t(q) f(q) for
+    f = one_turn_value(t, .), checked exactly at 2t + 3 points of (0, 1).
+
+    Both sides are polynomials of degree <= 2t + 2, so agreement there is an
+    identity.  The cubic factor is positive on (0, 1), so f rises below the
+    root of P_t and falls above it: that root maximizes f."""
+    coeffs = split_polynomial(t)
+    for k in range(1, 2 * t + 4):
+        q = Fraction(k, 2 * t + 4)
+        f = one_turn_value(t, Dual(q, 1))
+        if q * (1 - q) * (1 + (t - 1) * q) * f.b != -t * poly_at(coeffs, q) * f.a:
+            return False
+    return True
+
+
+def two_turn_grid_argmax(t: int, k: int) -> tuple[int, int, int]:
+    """First maximum, in row-major order over (i, j), of the two-turn product
+    ((a+b)^t + t c a^(t-1)) (c^t + t b c^(t-1)) on the simplex grid
+    a = i/k, b = j/k, c = (k-i-j)/k.  Values are scaled by k^(2t), so they
+    are exact ints; returns (i, j, scaled value)."""
+    pw = [x**t for x in range(k + 1)]
+    pm = [x ** (t - 1) for x in range(k + 1)]
+    best = (0, 0, -1)
+    for i in range(k + 1):
+        tpi = t * pm[i]
+        for j in range(k + 1 - i):
+            c = k - i - j
+            val = (pw[i + j] + c * tpi) * (pw[c] + t * j * pm[c])
+            if val > best[2]:
+                best = (i, j, val)
+    return best

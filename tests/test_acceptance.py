@@ -1,8 +1,8 @@
 """Acceptance suite: one check per shipping criterion, printed pass/fail.
 
 Every expected value is either trivial arithmetic, a closed form verified
-against an independent numeric route, or a value frozen from the package's
-brute-force oracles.  Run with ``pytest tests/test_acceptance.py -v -s``.
+by an exact certificate, or a value frozen from the package's brute-force
+oracles.  Run with ``pytest tests/test_acceptance.py -v -s``.
 
 Two checks test asymptotic claims at finite size, so they assert what those
 claims promise there rather than their limits; their docstrings carry the
@@ -29,21 +29,17 @@ from ngbounds import (
     Tournament,
     conjugate,
     count_good_sequences,
-    critical_ratio,
     emit_graph6,
     exhaustive_coloring_extremal,
     exhaustive_extremal,
     leading_term_bound,
     multicolor_upper_bound,
-    numeric_split_root,
     packed_pair,
     parse_coloring,
     pigeonhole_sequence,
     pi_t,
     product_clique_counts,
     random_pi_exponent,
-    ratio_equation_residual,
-    simplex_grid_max,
     tournament_construction,
 )
 from ngbounds.counting import count_cliques
@@ -63,6 +59,15 @@ from ngbounds.verify import (
     verify_borders,
     verify_compression,
     verify_thresholds,
+)
+
+from helpers import (
+    one_turn_slope_identity,
+    poly_at,
+    ratio_polynomial,
+    sign_changes,
+    split_polynomial,
+    two_turn_grid_argmax,
 )
 
 
@@ -126,19 +131,24 @@ def test_acceptance_05_packing_fixture():
 
 
 def test_acceptance_06_boundary_lemma_desk_scale():
-    """Simplex grid search (step 1e-3, refined) attains its maximum on the
+    """Exact integer grid search (step 1/1000) attains its maximum on the
     a = 0 or b = 0 boundary for t in {3,4,5}; the interior critical ratio at
-    t = 3 is exactly 2; the closed-form optimal split matches the numeric
-    derivative root within 1e-9."""
+    t = 3 is exactly 2, the one positive root of R_3; the closed-form optimal
+    split is the maximizer of one_turn_value, bracketed within 1e-12 of the
+    root of P_3 by exact signs."""
     ok = True
     for t in (3, 4, 5):
-        a, b, c, _ = simplex_grid_max(t, step=1e-3, refine=True)
-        ok &= a == 0.0 or b == 0.0
-    ok &= abs(critical_ratio(3) - 2.0) <= 1e-12
-    ok &= ratio_equation_residual(3, 2) == 0  # integers: 1 + 4*2 == 3^2
+        i, j, _ = two_turn_grid_argmax(t, 1000)
+        ok &= i == 0 or j == 0
+    ratio = ratio_polynomial(3)
+    ok &= ratio[1] < 0 and sign_changes(ratio[1:]) == 1 and poly_at(ratio, 2) == 0
     split = leading_term_bound(3).split
     ok &= split == (1 + sqrt(17)) / 8
-    ok &= abs(split - numeric_split_root(3)) <= 1e-9
+    p3 = split_polynomial(3)
+    delta = Fraction(1, 10**12)
+    ok &= sign_changes(p3) == 1
+    ok &= poly_at(p3, Fraction(split) - delta) < 0 < poly_at(p3, Fraction(split) + delta)
+    ok &= one_turn_slope_identity(3)  # so that root maximizes one_turn_value(3, .)
     assert _report("06 boundary-lemma", ok)
 
 

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -150,6 +151,23 @@ def test_bounds_rejects_an_unprintable_r_before_printing(capsys):
     assert out.splitlines()[-3] == f"product_upper(r=40) {multicolor_upper_bound(9, 40)}"
 
 
+def test_bounds_rejects_an_unprintable_n_before_printing(capsys):
+    limit = sys.get_int_max_str_digits()
+    last = 10 * limit // 3  # 2^(10/3) > 10, so pi_upper(n) >= 10^limit from here on
+    while (last + 1) * 2**last >= 10**limit:
+        last -= 1
+    code, out, _ = run(capsys, "bounds", "--t", "3", "--n", str(last))
+    assert code == 0
+    assert out.splitlines()[3] == f"pi_upper(n={last}) {(last + 1) * 2**last}"
+    for n in (last + 1, 10 * limit // 3, 10**18):  # the last one is refused before 2^n is built
+        code, out, err = run(capsys, "bounds", "--t", "3", "--n", str(n))
+        assert (code, out) == (2, "")
+        assert f"--n {n} is too large" in err
+    code, out, err = run(capsys, "bounds", "--t", "3", "--n", str(last), "--r", "2")
+    assert (code, out) == (2, "")
+    assert f"--r 2 is too large for --n {last}" in err
+
+
 def test_verify_known_suite(capsys):
     code, out, _ = run(capsys, "verify", "borders", "--t", "3", "--n-max", "3")
     assert code == 0
@@ -165,6 +183,17 @@ def test_verify_borders_reports_the_small_square_artifact(capsys):
     code, out, _ = run(capsys, "verify", "borders", "--t", "3", "--n-max", "5")
     assert code == 1
     assert "n=4" in out and "2 turns" in out
+
+
+def test_verify_borders_refuses_an_out_of_range_n_max_before_scanning(capsys, monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("scanned before checking --n-max")
+
+    monkeypatch.setattr("ngbounds.verify.discrete_border_max", no_scan)
+    for n_max in ("25", "-1"):
+        code, out, err = run(capsys, "verify", "borders", "--t", "3", "--n-max", n_max)
+        assert (code, out) == (2, "")
+        assert f"0 <= n_max <= 24, got {n_max}" in err
 
 
 def test_verify_small_randomized_suites(capsys):

@@ -7,19 +7,21 @@ from ngbounds.oracle import rng_for
 from ngbounds.packing import (
     BorderPath,
     border_from_heights,
-    border_integrals,
     conjugate,
-    critical_ratio,
     discrete_border_max,
     leading_term_bound,
     majorizes,
-    numeric_split_root,
-    one_turn_max,
     one_turn_value,
     packed_pair,
-    ratio_equation_residual,
-    simplex_grid_max,
-    two_turn_product,
+)
+
+from helpers import (
+    one_turn_slope_identity,
+    poly_at,
+    ratio_polynomial,
+    sign_changes,
+    split_polynomial,
+    two_turn_grid_argmax,
 )
 
 
@@ -107,46 +109,6 @@ def test_border_path_validation():
         BorderPath(((0, 0), (1, 0), (2, 0)), "starts-right")  # unmerged collinear run
 
 
-def test_border_integrals_one_turn():
-    t = 3
-    q, p = 0.7, 0.3
-    up_right = BorderPath(((0, 0), (0, p), (q, p)), "starts-up")
-    ix, iy = border_integrals(up_right, t)
-    assert isclose(ix, q * p ** (t - 1), rel_tol=0, abs_tol=1e-15)
-    assert iy == 0.0
-    right_up = BorderPath(((0, 0), (q, 0), (q, p)), "starts-right")
-    ix, iy = border_integrals(right_up, t)
-    assert ix == 0.0
-    assert isclose(iy, p * q ** (t - 1), rel_tol=0, abs_tol=1e-15)
-
-
-def test_border_integral_caps_on_random_staircases():
-    for trial in range(200):
-        rng = rng_for([73, trial])
-        t = int(rng.integers(3, 6))
-        q = float(rng.uniform(0.05, 0.95))
-        p = 1.0 - q
-        k = int(rng.integers(1, 6))
-        xs = sorted(float(rng.uniform(0, q)) for _ in range(k)) + [q]
-        ys = sorted(float(rng.uniform(0, p)) for _ in range(k))
-        pts = [(0.0, 0.0)]
-        x_prev = 0.0
-        for x, y in zip(xs, ys + [p]):
-            if x > x_prev:
-                pts.append((x, pts[-1][1]))
-            if y > pts[-1][1]:
-                pts.append((pts[-1][0], y))
-            x_prev = x
-        if pts[-1][0] < q:
-            pts.append((q, pts[-1][1]))
-        if pts[-1][1] < p:
-            pts.append((q, p))
-        path = BorderPath(tuple(dict.fromkeys(pts)), "starts-up" if pts[1][0] == 0 else "starts-right")
-        ix, iy = border_integrals(path, t)
-        assert ix <= q * p ** (t - 1) + 1e-12
-        assert iy <= p * q ** (t - 1) + 1e-12
-
-
 def test_discrete_border_max_fixtures():
     path, value = discrete_border_max(3, 4, 3)
     assert path.turns <= 1
@@ -199,43 +161,45 @@ def test_discrete_border_max_scaling_trend():
     assert deviations[-1] == min(deviations)
 
 
-def test_two_turn_product():
-    t = 3
-    p, q = 0.4, 0.6
-    val = two_turn_product(0.0, p, q, t)
-    assert isclose(val, p**t * (q**t + t * p * q ** (t - 1)), rel_tol=1e-12)
-    assert two_turn_product(0.3, 0.7, 0.0, t) == 0.0
-    with pytest.raises(ValueError):
-        two_turn_product(-0.1, 0.5, 0.6, t)
-    with pytest.raises(ValueError):
-        two_turn_product(0.5, 0.5, 0.5, t)
+@pytest.mark.parametrize("t", (4, 5, 6))
+def test_discrete_border_max_stays_below_the_leading_term(t):
+    # the exact counterpart of the t = 3 bound above, for every size n <= 16
+    peak = Fraction(leading_term_bound(t).value)
+    for n in range(17):
+        best = max(discrete_border_max(r, n - r, t)[1] for r in range(n + 1))
+        assert best <= Fraction(n**t, factorial(t)) ** 2 * peak
 
 
 def test_simplex_grid_max_hits_the_boundary():
-    # coarse step here; the acceptance suite runs the full 1e-3 grid
-    for t in (3, 4):
-        a, b, c, val = simplex_grid_max(t, step=1e-2)
-        assert a == 0.0 or b == 0.0
-        assert isclose(val, leading_term_bound(t).value, rel_tol=1e-4)
+    # exact integer grid at step 1/100; the acceptance suite runs step 1/1000
+    k = 100
+    for t in (3, 4, 5):
+        i, j, val = two_turn_grid_argmax(t, k)
+        assert i == 0 and 0 < j < k
+        # on a = 0 the two-turn product is the one-turn value at q = b
+        scaled = Fraction(val, k ** (2 * t))
+        assert scaled == one_turn_value(t, Fraction(j, k))
+        peak = Fraction(leading_term_bound(t).value)
+        assert peak * (1 - Fraction(1, 10**3)) < scaled <= peak
 
 
 def test_critical_ratio():
-    assert abs(critical_ratio(3) - 2.0) <= 1e-12
-    assert ratio_equation_residual(3, 2) == 0  # 1 + 4*2 == (1+2)^2 exactly
-    assert abs(critical_ratio(4) - (-3 + sqrt(33)) / 2) <= 1e-12
-    assert abs(ratio_equation_residual(4, critical_ratio(4))) < 1e-9
-    with pytest.raises(ValueError):
-        critical_ratio(2)
+    # the sign order below holds because R_t < 0 just right of 0 (next test)
+    assert poly_at(ratio_polynomial(3), 2) == 0  # 1 + 4*2 == (1+2)^2
+    root = Fraction((-3 + sqrt(33)) / 2)
+    delta = Fraction(1, 10**12)
+    assert poly_at(ratio_polynomial(4), root - delta) < 0 < poly_at(ratio_polynomial(4), root + delta)
 
 
 def test_critical_ratio_unique_positive_root():
-    import numpy as np
-
     for t in range(3, 9):
-        lams = np.logspace(-9, 6, 20_000)
-        signs = np.sign([ratio_equation_residual(t, x) for x in lams])
-        changes = int(np.sum(signs[:-1] != signs[1:]))
-        assert changes == 1
+        coeffs = ratio_polynomial(t)
+        for lam in range(t):  # degree t - 1, so t points pin the polynomial down
+            assert poly_at(coeffs, lam) == (1 + lam) ** (t - 1) - 1 - (t - 1) ** 2 * lam
+        # R_t(0) = 0, and R_t / lam starts negative and changes sign once: by
+        # Descartes' rule R_t < 0 below its one positive root and > 0 above
+        assert coeffs[0] == 0 and coeffs[1] < 0
+        assert sign_changes(coeffs[1:]) == 1
 
 
 def test_leading_term_bound():
@@ -254,15 +218,17 @@ def test_split_tends_to_one_half():
     assert abs(leading_term_bound(1000).split - 0.5) < 2e-3
 
 
-def test_numeric_split_root_matches_closed_form():
-    for t in (3, 4, 5, 7):
-        assert abs(numeric_split_root(t) - leading_term_bound(t).split) <= 1e-9
+def test_split_is_the_certified_root_of_the_split_polynomial():
+    # P_t has coefficients (-, -, +): exactly one positive root, below which
+    # P_t < 0 and above which P_t > 0; the float split sits within 1e-12 of it
+    delta = Fraction(1, 10**12)
+    for t in range(3, 60):
+        coeffs = split_polynomial(t)
+        assert sign_changes(coeffs) == 1 and poly_at(coeffs, 1) > 0
+        split = Fraction(leading_term_bound(t).split)
+        assert poly_at(coeffs, split - delta) < 0 < poly_at(coeffs, split + delta)
 
 
 def test_one_turn_max():
-    lead = leading_term_bound(3)
-    q_star, value = one_turn_max(3)
-    assert isclose(value, lead.value, rel_tol=0, abs_tol=1e-12)
-    assert min(abs(q_star - lead.split), abs(q_star - (1 - lead.split))) <= 1e-6
-    with pytest.raises(ValueError):
-        one_turn_max(2)
+    # with the test above: one_turn_value rises up to the split and falls after
+    assert all(one_turn_slope_identity(t) for t in range(3, 60))
