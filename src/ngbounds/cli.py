@@ -112,9 +112,13 @@ def cmd_bounds(args) -> int:
     if g is not None and g.n != n:
         raise ValueError(f"--graph6 instance has {g.n} vertices, --n says {n}")
     lead = leading_term_bound(t)
+    try:
+        leading = f"{lead.bound(n):.6e}"
+    except OverflowError:
+        raise ValueError(f"--t {t} --n {n} is too large: leading_bound(n={n}) overflows a float") from None
     print(f"split_{t} {lead.split:.12f}")
     print(f"peak_{t} {lead.value:.12f}")
-    print(f"leading_bound(n={n}) {lead.bound(n):.6e}")
+    print(f"leading_bound(n={n}) {leading}")
     print(f"pi_upper(n={n}) {(n + 1) * 2 ** n}")
     if n >= 1:
         joined, disjoint = extremal_one_turn_codes(n, t)
@@ -158,6 +162,10 @@ def cmd_verify(args) -> int:
 
 def cmd_extremal(args) -> int:
     if args.coloring_r is not None:
+        graph_only = (("--t", args.t is not None), ("--shard", args.shard is not None), ("--shards", args.shards != 1))
+        for opt, given in graph_only:
+            if given:
+                raise ValueError(f"{opt} applies to graph scans, not to --coloring-r")
         rec = exhaustive_coloring_extremal(args.n, args.coloring_r, args.quantity, args.direction)
     else:
         rec = exhaustive_extremal(

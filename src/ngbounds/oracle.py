@@ -6,7 +6,8 @@ tracked vertex subset occupies one bit of a 64-bit word, two lookup tables
 (low/high halves of the edge mask) say which subsets are cliques or
 independent inside a graph, and a popcount finishes the job.  Sharding is
 by residue: shard k of K processes masks congruent to k mod K, and partial
-records merge associatively.
+records merge associatively.  The coloring scan tabulates k(G_mask) with the
+same kernel and evaluates every coloring as array lookups, color by color.
 
 Randomness is PCG64 via numpy with an explicit stream rule: a sampler
 called with ``seed`` draws from SeedSequence([seed]); trial ``i`` of a
@@ -17,7 +18,7 @@ identical artifacts on any platform.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from math import comb, log, log2
 from operator import attrgetter
 from typing import Optional
@@ -136,6 +137,23 @@ def _make_tables(pairmasks: list[int], lo_bits: int, hi_bits: int):
     return words
 
 
+def _mask_counts(ranges, lo_bits: int, words, combine):
+    """For each edge-mask range (start, stop, step): start, and ``combine`` of
+    each mask's tracked clique and independent-set counts.  A generator, so a
+    chunk's arrays are freed only as the next chunk's are built; freeing them
+    at once lets the allocator return and refault that memory every chunk."""
+    for start, stop, step in ranges:
+        edges = np.arange(start, stop, step, dtype=np.int64)
+        lo_idx = edges & ((1 << lo_bits) - 1)
+        hi_idx = edges >> lo_bits
+        kcnt = np.zeros(len(edges), dtype=np.int64)
+        icnt = np.zeros(len(edges), dtype=np.int64)
+        for cl_lo, cl_hi, in_lo, in_hi in words:
+            kcnt += _popcount64(cl_lo[lo_idx] & cl_hi[hi_idx])
+            icnt += _popcount64(in_lo[lo_idx] & in_hi[hi_idx])
+        yield start, combine(kcnt, icnt)
+
+
 def exhaustive_extremal(
     n: int,
     quantity: str,
@@ -181,29 +199,15 @@ def exhaustive_extremal(
     lo_bits = min(m, 14)
     hi_bits = m - lo_bits
     words = _make_tables(pairmasks, lo_bits, hi_bits)
-    lo_mask = (1 << lo_bits) - 1
+    combine = np.add if quantity in ("sigma", "sigma_t") else np.multiply
     want_max = direction == "max"
 
     best: Optional[int] = None
     masks: list[int] = []
     total_wit = 0
-    for base in range(0, 1 << m, chunk):
-        stop = min(base + chunk, 1 << m)
-        first = base + ((shard - base) % shards)
-        if first >= stop:
-            continue
-        edges = np.arange(first, stop, shards, dtype=np.int64)
-        lo_idx = edges & lo_mask
-        hi_idx = edges >> lo_bits
-        kcnt = np.zeros(len(edges), dtype=np.int64)
-        icnt = np.zeros(len(edges), dtype=np.int64)
-        for cl_lo, cl_hi, in_lo, in_hi in words:
-            kcnt += _popcount64(cl_lo[lo_idx] & cl_hi[hi_idx])
-            icnt += _popcount64(in_lo[lo_idx] & in_hi[hi_idx])
-        if quantity in ("sigma", "sigma_t"):
-            vals = kcnt + icnt
-        else:
-            vals = kcnt * icnt
+    spans = ((base + (shard - base) % shards, min(base + chunk, 1 << m)) for base in range(0, 1 << m, chunk))
+    ranges = ((first, stop, shards) for first, stop in spans if first < stop)
+    for first, vals in _mask_counts(ranges, lo_bits, words, combine):
         ext = int(vals.max() if want_max else vals.min())
         if best is None or (ext > best if want_max else ext < best):
             best = ext
@@ -213,7 +217,7 @@ def exhaustive_extremal(
             hits = np.flatnonzero(vals == ext)
             total_wit += len(hits)
             for idx in hits[: max(0, WITNESS_CAP - len(masks))]:
-                masks.append(int(edges[idx]))
+                masks.append(first + int(idx) * shards)
     witnesses = tuple(emit_graph6(Graph.from_edge_mask(n, mk)) for mk in masks)
     return ExtremalRecord(n, quantity, direction, t if sized else None, best, witnesses, total_wit, "graph6")
 
@@ -245,7 +249,16 @@ def merge_records(records) -> ExtremalRecord:
 
 def exhaustive_coloring_extremal(n: int, r: int, quantity: str, direction: str) -> ExtremalRecord:
     """Exact extremum of the per-color clique-count sum/product over all
-    total r-colorings of the n-clique's edges."""
+    total r-colorings of the n-clique's edges.
+
+    Code x colors slot s with digit x // r^s % r; witnesses come in code order.
+    The graph scan's kernel tabulates K[mask] = k(G_mask) for all 2^m masks, a
+    color's mask joins digit tables of the low m // 2 slots and the rest, and
+    a coloring's value sums or multiplies its r lookups: int64 where it fits
+    (counts are <= 2^n, so products need n r <= 62), else exact ints.  A lone
+    coloring (r = 1, whose table would need 2^m entries, or n <= 1) uses the
+    counting engine.
+    """
     if quantity not in _COLORING_QUANTITIES:
         raise ValueError(f"unknown coloring quantity {quantity!r}")
     if direction not in ("min", "max"):
@@ -255,24 +268,31 @@ def exhaustive_coloring_extremal(n: int, r: int, quantity: str, direction: str) 
     m = comb(n, 2)
     if r**m > 2_000_000:
         raise ValueError(f"{r}^{m} colorings is past the enumeration cap")
-    want_max = direction == "max"
-    best: Optional[int] = None
-    blobs: list[str] = []
-    total_wit = 0
-    # code order: slot 0 is the least significant base-r digit, so reverse
-    # product's tuples, whose last entry varies fastest
-    for digits in product(range(r), repeat=m):
-        fam = GraphFamily.from_colors(n, r, digits[::-1])
+    if r**m == 1:
+        fam = GraphFamily.from_colors(n, r, [0] * m)
         val = _eval_coloring_quantity(fam, quantity)
-        if best is None or (val > best if want_max else val < best):
-            best = val
-            blobs = []
-            total_wit = 0
-        if val == best:
-            total_wit += 1
-            if len(blobs) < WITNESS_CAP:
-                blobs.append(emit_coloring(fam))
-    return ExtremalRecord(n, quantity, direction, None, best, tuple(blobs), total_wit, "coloring", r=r)
+        return ExtremalRecord(n, quantity, direction, None, val, (emit_coloring(fam),), 1, "coloring", r=r)
+    lo_bits = min(m, 14)
+    words = _make_tables(_subset_pairmasks(n, None), lo_bits, m - lo_bits)
+    _, kcnt = next(_mask_counts([(0, 1 << m, 1)], lo_bits, words, lambda kcnt, icnt: kcnt))
+    table = kcnt if quantity == "sum" or n * r <= 62 else kcnt.astype(object)
+    low = m // 2
+    bits = np.int64(1) << np.arange(m, dtype=np.int64)
+    lo_digits = np.arange(r**low)[:, None] // r ** np.arange(low) % r
+    hi_digits = np.arange(r ** (m - low))[:, None] // r ** np.arange(m - low) % r
+    combine = np.add if quantity == "sum" else np.multiply
+    vals = np.full(r**m, combine.identity, dtype=table.dtype)
+    for c in range(r):
+        # code = hi * r^low + lo, so the hi index is the outer one
+        mask = ((hi_digits == c) @ bits[low:])[:, None] | (lo_digits == c) @ bits[:low]
+        combine(vals, table[mask.ravel()], out=vals)
+    ext = vals.max() if direction == "max" else vals.min()
+    hits = np.flatnonzero(vals == ext)
+    witnesses = tuple(
+        emit_coloring(GraphFamily.from_colors(n, r, [int(code) // r**s % r for s in range(m)]))
+        for code in hits[:WITNESS_CAP]
+    )
+    return ExtremalRecord(n, quantity, direction, None, int(ext), witnesses, len(hits), "coloring", r=r)
 
 
 def _graph_from_rng(n: int, rng: np.random.Generator) -> Graph:

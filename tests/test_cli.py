@@ -11,7 +11,8 @@ from ngbounds.verify import SUITES, Report
 
 from helpers import cycle_graph
 
-TRACE_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / "compress_trace"
+BENCH_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
+TRACE_INPUTS = BENCH_INPUTS / "compress_trace"
 
 
 def run(capsys, *argv):
@@ -168,6 +169,14 @@ def test_bounds_rejects_an_unprintable_n_before_printing(capsys):
     assert f"--r 2 is too large for --n {last}" in err
 
 
+def test_bounds_refuses_a_leading_term_past_float_range_before_printing(capsys):
+    code, out, err = run(capsys, "bounds", "--t", "60", "--n", "14270")
+    assert (code, out) == (2, "")
+    assert "leading_bound(n=14270) overflows" in err
+    code, out, _ = run(capsys, "bounds", "--t", "60", "--n", "100")
+    assert code == 0 and out.splitlines()[2].startswith("leading_bound(n=100) ")
+
+
 def test_verify_known_suite(capsys):
     code, out, _ = run(capsys, "verify", "borders", "--t", "3", "--n-max", "3")
     assert code == 0
@@ -254,6 +263,25 @@ def test_extremal_command(capsys):
 
     code, _, err = run(capsys, "extremal", "--n", "9", "--quantity", "pi")
     assert code == 2 and "capped" in err
+
+
+def test_extremal_coloring_scan_matches_the_benchmark_reference(capsys):
+    expected = json.loads((BENCH_INPUTS / "exhaustive_scan" / "expected.json").read_text(encoding="utf-8"))["e02"]
+    code, out, _ = run(capsys, "extremal", "--n", "6", "--coloring-r", "2", "--quantity", "product")
+    assert (code, out) == (expected["exit"], expected["stdout"])
+
+
+@pytest.mark.parametrize(
+    "extra,option",
+    [(("--t", "3"), "--t"), (("--shards", "4", "--shard", "1"), "--shard"), (("--shard", "0"), "--shard"),
+     (("--shards", "2"), "--shards")],
+)
+def test_extremal_coloring_refuses_graph_options_before_printing(capsys, extra, option):
+    code, out, err = run(capsys, "extremal", "--n", "4", "--coloring-r", "3", "--quantity", "sum", *extra)
+    assert (code, out) == (2, "")
+    assert f"{option} applies to graph scans" in err
+    code, out, _ = run(capsys, "extremal", "--n", "4", "--coloring-r", "3", "--quantity", "sum", "--shards", "1")
+    assert code == 0 and out.splitlines()[1].split(",")[5] == "26"
 
 
 def test_exponent_csv(tmp_path, capsys):

@@ -1,10 +1,13 @@
 import math
+from itertools import product
 
 import pytest
 
 from ngbounds import (
+    ExtremalRecord,
     Graph,
     GraphFamily,
+    count_cliques,
     emit_coloring,
     emit_graph6,
     exhaustive_coloring_extremal,
@@ -19,6 +22,7 @@ from ngbounds import (
 )
 from ngbounds.graphs import edge_list
 from ngbounds.multicolor import certificate_lower_bound
+from ngbounds.oracle import WITNESS_CAP
 
 
 def test_exhaustive_pi_max_small():
@@ -106,6 +110,59 @@ def test_coloring_extremal_product():
     assert mixed.value == 30
     want = [[(code >> slot) & 1 for slot in range(3)] for code in range(1, 7)]
     assert list(mixed.witnesses) == [emit_coloring(GraphFamily.from_colors(3, 2, c)) for c in want]
+
+
+def _loop_coloring_records(n, r):
+    """The per-coloring loop the table scan replaced, kept as its oracle: one
+    family and its r clique counts per coloring, in code order.  One pass fills
+    the records of both quantities and both directions."""
+    state = {(q, d): [None, [], 0] for q in ("sum", "product") for d in ("min", "max")}
+    # code order: slot 0 is the least significant base-r digit, so reverse
+    # product's tuples, whose last entry varies fastest
+    for digits in product(range(r), repeat=math.comb(n, 2)):
+        fam = GraphFamily.from_colors(n, r, digits[::-1])
+        counts = [count_cliques(g) for g in fam.members]
+        vals = {"sum": sum(counts), "product": math.prod(counts)}
+        for (quantity, direction), rec in state.items():
+            val = vals[quantity]
+            if rec[0] is None or (val > rec[0] if direction == "max" else val < rec[0]):
+                rec[:] = [val, [], 0]
+            if val == rec[0]:
+                rec[2] += 1
+                if len(rec[1]) < WITNESS_CAP:
+                    rec[1].append(emit_coloring(fam))
+    return {
+        key: ExtremalRecord(n, key[0], key[1], None, val, tuple(blobs), total, "coloring", r=r)
+        for key, (val, blobs, total) in state.items()
+    }
+
+
+# every (n, r) with r <= 6 and at most 3^10 colorings, plus both sides of the
+# int64 boundary n r <= 62 and a product past 2^63
+@pytest.mark.parametrize(
+    "n,r",
+    [(n, r) for n in range(6) for r in range(1, 7) if r ** math.comb(n, 2) <= 3**10]
+    + [(2, 31), (2, 32), (2, 40)],
+)
+def test_coloring_scan_matches_the_per_coloring_loop(n, r):
+    for (quantity, direction), want in _loop_coloring_records(n, r).items():
+        got = exhaustive_coloring_extremal(n, r, quantity, direction)
+        assert got == want
+        assert type(got.value) is int
+
+
+def test_coloring_scan_keeps_products_past_int64_exact():
+    rec = exhaustive_coloring_extremal(2, 40, "product", "max")
+    assert rec.value == 4 * 3**39 > 2**63
+    assert rec.total_witnesses == 40 and rec.recheck()
+
+
+def test_coloring_scan_one_color_at_62_vertices():
+    for quantity in ("sum", "product"):
+        rec = exhaustive_coloring_extremal(62, 1, quantity, "min")
+        assert rec.value == 2**62
+        assert rec.witnesses == (emit_coloring(GraphFamily.from_colors(62, 1, [0] * math.comb(62, 2))),)
+        assert rec.total_witnesses == 1
 
 
 def test_coloring_extremal_guard():
