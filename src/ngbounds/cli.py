@@ -167,6 +167,9 @@ def cmd_extremal(args) -> int:
             if given:
                 raise ValueError(f"{opt} applies to graph scans, not to --coloring-r")
         rec = exhaustive_coloring_extremal(args.n, args.coloring_r, args.quantity, args.direction)
+        limit = sys.get_int_max_str_digits()
+        if limit and rec.value >= 10**limit:
+            raise ValueError(f"--coloring-r {args.coloring_r} is too large: the {rec.quantity} has more than {limit} digits")
     else:
         rec = exhaustive_extremal(
             args.n,
@@ -176,11 +179,12 @@ def cmd_extremal(args) -> int:
             shards=args.shards,
             shard=args.shard,
         )
-    print("n,quantity,direction,t,shard,value,total_witnesses,witnesses")
     shard = "" if args.shard is None else args.shard
     t = "" if rec.t is None else rec.t
     witnesses = ";".join(w.replace("\n", "|") for w in rec.witnesses)
-    print(f"{rec.n},{rec.quantity},{rec.direction},{t},{shard},{rec.value},{rec.total_witnesses},{witnesses}")
+    record = f"{rec.n},{rec.quantity},{rec.direction},{t},{shard},{rec.value},{rec.total_witnesses},{witnesses}"
+    print("n,quantity,direction,t,shard,value,total_witnesses,witnesses")
+    print(record)
     if not rec.recheck():
         print("witness re-evaluation failed", file=sys.stderr)
         return 1

@@ -32,6 +32,8 @@ from .multicolor import GraphFamily, Tournament, emit_coloring, parse_coloring
 WITNESS_CAP = 100
 _TOTAL_SCAN_MAX = 7  # 2^21 graphs
 _SIZED_SCAN_MAX = 8  # 2^28 graphs, fixed-size counts only
+_COLORING_LOOKUPS_MAX = 1 << 22  # r^(C(n,2)+1): 4^11 at (n, r) = (5, 4)
+_LONE_COLORS_MAX = 1 << 16  # graphs built for a lone coloring (n <= 1 or r = 1)
 
 _GRAPH_QUANTITIES = {"sigma", "pi", "sigma_t", "pi_t"}
 _COLORING_QUANTITIES = {"sum", "product"}
@@ -258,6 +260,11 @@ def exhaustive_coloring_extremal(n: int, r: int, quantity: str, direction: str) 
     (counts are <= 2^n, so products need n r <= 62), else exact ints.  A lone
     coloring (r = 1, whose table would need 2^m entries, or n <= 1) uses the
     counting engine.
+
+    The work is capped up front.  The scan does r lookups for each of the
+    r^m colorings, and r^(m+1) may not pass 2^22, the work of all 4^10
+    colorings of K_5.  A lone coloring builds one graph per color, and r may
+    not pass 2^16.
     """
     if quantity not in _COLORING_QUANTITIES:
         raise ValueError(f"unknown coloring quantity {quantity!r}")
@@ -266,8 +273,12 @@ def exhaustive_coloring_extremal(n: int, r: int, quantity: str, direction: str) 
     if r < 1:
         raise ValueError("need at least one color")
     m = comb(n, 2)
-    if r**m > 2_000_000:
-        raise ValueError(f"{r}^{m} colorings is past the enumeration cap")
+    if r > 1 and m:
+        # r >= 2 and m >= 22 give r^(m+1) >= 2^23, so the power is never huge
+        if m >= 22 or r ** (m + 1) > _COLORING_LOOKUPS_MAX:
+            raise ValueError(f"{r} colors on {n} vertices need {r}^{m + 1} table lookups, past the cap of 2^22")
+    elif r > _LONE_COLORS_MAX:
+        raise ValueError(f"{r} colors on {n} vertices need {r} graphs, past the cap of 2^16")
     if r**m == 1:
         fam = GraphFamily.from_colors(n, r, [0] * m)
         val = _eval_coloring_quantity(fam, quantity)

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from math import factorial, sqrt
+from math import factorial, prod, sqrt
 
-MAX_RECTANGLE = 24  # path enumeration cap: C(24, 12) ~ 2.7M paths
+MAX_RECTANGLE = 24  # border search cap on r + s
 
 
 def conjugate(seq) -> tuple[int, ...]:
@@ -153,16 +152,95 @@ def border_from_heights(heights, r: int) -> BorderPath:
     return BorderPath(tuple(pts), orientation)
 
 
+def _turns(walk: str) -> int:
+    """Direction changes along a step string."""
+    return sum(1 for a, b in zip(walk, walk[1:]) if a != b)
+
+
+def _walk_sums(w, walk: str, end_h, end_v) -> tuple[int, int]:
+    """The two sums ``_lattice_max`` multiplies, for one step string."""
+    x = y = h = v = 0
+    for step in walk:
+        if step == "-":
+            h += w[y]
+            x += 1
+        else:
+            v += w[x]
+            y += 1
+    return h + end_h[y], v + end_v[x]
+
+
+def _lattice_max(w, cols: int, rows: int, steps: int, end_h, end_v) -> tuple[int, list[str]]:
+    """Exact maximum of (H + end_h[y]) * (V + end_v[x]) over monotone lattice
+    walks of ``steps`` unit steps from (0, 0) inside [0, cols] x [0, rows]
+    (steps <= cols + rows), and every walk attaining it.
+
+    A horizontal step '-' at height y adds w[y] to H, a vertical step '+' at
+    column x adds w[x] to V, and the walk ends at (x, y), x + y = steps.  All
+    weights are non-negative.  Walks are visited depth first, '-' before '+',
+    so the maximizers come back in lexicographic order of their step strings.
+    A subtree is dropped only when (H + most H still to gain) * (V + most V
+    still to gain) is strictly below the best value so far, which starts at
+    the best one-turn walk; no maximizer is ever dropped.
+    """
+    # rest_h[x][y], rest_v[x][y]: the most each sum can still gain from (x, y),
+    # end terms included, by a backward single-objective DP
+    rest_h = [[0] * (rows + 1) for _ in range(cols + 1)]
+    rest_v = [[0] * (rows + 1) for _ in range(cols + 1)]
+    for d in range(steps, -1, -1):
+        for x in range(max(0, d - rows), min(cols, d) + 1):
+            y = d - x
+            if d == steps:
+                rest_h[x][y], rest_v[x][y] = end_h[y], end_v[x]
+            else:  # all gains are >= 0, so 0 stands in for a step out of the box
+                rest_h[x][y] = max(w[y] + rest_h[x + 1][y] if x < cols else 0, rest_h[x][y + 1] if y < rows else 0)
+                rest_v[x][y] = max(rest_v[x + 1][y] if x < cols else 0, w[x] + rest_v[x][y + 1] if y < rows else 0)
+
+    best = max(
+        prod(_walk_sums(w, walk, end_h, end_v))
+        for i in range(max(0, steps - rows), min(cols, steps) + 1)
+        for walk in ("-" * i + "+" * (steps - i), "+" * (steps - i) + "-" * i)
+    )
+    hits: list[str] = []
+    trail: list[str] = []
+
+    def visit(x: int, y: int, h: int, v: int) -> None:
+        nonlocal best, hits
+        bound = (h + rest_h[x][y]) * (v + rest_v[x][y])
+        if bound < best:
+            return
+        if x + y == steps:  # at an end point the bound is the walk's value
+            if bound > best:
+                best, hits = bound, []
+            hits.append("".join(trail))
+            return
+        if x < cols:
+            trail.append("-")
+            visit(x + 1, y, h + w[y], v)
+            trail.pop()
+        if y < rows:
+            trail.append("+")
+            visit(x, y + 1, h, v + w[x])
+            trail.pop()
+
+    visit(0, 0, 0, 0)
+    return best, hits
+
+
 def discrete_border_max(r: int, s: int, t: int) -> tuple[BorderPath, Fraction]:
-    """Exhaustively maximize the scaled size-t count product over all monotone
-    lattice paths in the r x s rectangle.
+    """Maximize the scaled size-t count product exactly over all monotone
+    lattice paths in the r x s rectangle, by pruned exact search.
 
     The value of a path with column heights b and packed partner a is
 
         (r^t + t * sum b_j^(t-1)) * (s^t + t * sum a_i^(t-1)) / (t!)^2
 
-    compared exactly as integers.  Ties break toward fewer turns, then the
-    lexicographically smallest height sequence.  Capped at r + s <= 24.
+    compared exactly as integers.  Walking the path from (0, 0), a step right
+    at height h adds h^(t-1) to the b-sum and a step up at column x adds
+    x^(t-1) to the a-sum, so ``_lattice_max`` finds every maximizing path
+    without visiting the C(r+s, s) paths one by one.  Ties break toward fewer
+    turns, then the lexicographically smallest height sequence.  Capped at
+    r + s <= 24.
     """
     if r < 0 or s < 0:
         raise ValueError("rectangle sides must be non-negative")
@@ -170,33 +248,16 @@ def discrete_border_max(r: int, s: int, t: int) -> tuple[BorderPath, Fraction]:
         raise ValueError(f"product maximization needs t >= 2, got {t}")
     if r + s > MAX_RECTANGLE:
         raise ValueError(f"path enumeration is capped at r + s <= {MAX_RECTANGLE}, got {r + s}")
-    tm1 = t - 1
-    pw = [x**tm1 for x in range(max(r, s) + 1)]
-    rt = r**t
-    st = s**t
-    best_val = -1
-    best_turns = -1
-    best_b: tuple[int, ...] | None = None
-    for b in combinations_with_replacement(range(r + 1), s):
-        sb = 0
-        for x in b:
-            sb += pw[x]
-        # conjugate sums without materializing the partner sequence:
-        # a_i = #{j : b_j <= r - i}, walked with one pointer since b is sorted
-        sa = 0
-        p = s
-        for level in range(r - 1, -1, -1):
-            while p > 0 and b[p - 1] > level:
-                p -= 1
-            sa += pw[p]
-        val = (rt + t * sb) * (st + t * sa)
-        if val < best_val:
-            continue
-        turns = border_from_heights(b, r).turns
-        if val > best_val or turns < best_turns or (turns == best_turns and b < best_b):
-            best_val, best_turns, best_b = val, turns, b
-    assert best_b is not None
-    return border_from_heights(best_b, r), Fraction(best_val, factorial(t) ** 2)
+    w = [t * x ** (t - 1) for x in range(max(r, s) + 1)]
+    best, hits = _lattice_max(w, s, r, r + s, [r**t] * (r + 1), [s**t] * (s + 1))
+    heights = []
+    y = 0
+    for step in min(hits, key=_turns):  # min keeps the first of the fewest turns
+        if step == "-":
+            heights.append(y)
+        else:
+            y += 1
+    return border_from_heights(heights, r), Fraction(best, factorial(t) ** 2)
 
 
 def one_turn_value(t: int, q: float) -> float:

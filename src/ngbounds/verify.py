@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from math import comb, factorial, prod
 
 from .compression import compress, compress_to_threshold
-from .counting import clique_profile, independent_profile, pi_t
+from .counting import clique_profile, independent_profile
 from .graphs import Graph, complement, emit_graph6
 from .multicolor import (
     GraphFamily,
@@ -28,7 +28,7 @@ from .multicolor import (
     tournament_construction,
 )
 from .oracle import _graph_from_rng, exhaustive_coloring_extremal, exhaustive_extremal, rng_for
-from .packing import MAX_RECTANGLE, discrete_border_max
+from .packing import MAX_RECTANGLE, _lattice_max, _turns, discrete_border_max
 from .threshold import ThresholdCode, build, closed_form_counts, recognize, split_degrees
 
 MAX_COUNTEREXAMPLES = 10
@@ -147,7 +147,7 @@ def verify_thresholds(trials: int = 1000, n_max: int = 16, seed: int = 11, sizes
 
 
 def verify_borders(t: int = 3, n_max: int = 20) -> Report:
-    """Exhaustive lattice-path maximization over every rectangle r + s = n,
+    """Exact lattice-path maximization over every rectangle r + s = n,
     for each total size n <= n_max, reporting one ``n=...`` line per size
     with its maximum scaled value, rectangle and turn count.
 
@@ -293,26 +293,34 @@ def verify_extremal(n_max: int = 6, shards: int = 1) -> Report:
     return rep
 
 
+def _code_terms(steps: int, t: int) -> tuple[list[int], list[int]]:
+    """Step weights C(k, t-1) and end terms C(k+1, t), k = 0..steps, of the
+    lattice walk of a code with ``steps`` symbols (see threshold_code_max)."""
+    return [comb(k, t - 1) if t else 0 for k in range(steps + 1)], [comb(k + 1, t) for k in range(steps + 1)]
+
+
 def threshold_code_max(n: int, t: int) -> tuple[int, bool, list[str]]:
     """Max of the size-t product over all 2^(n-1) threshold codes.
 
     Returns (value, attained by a code with at most one sign change,
-    display strings of up to five maximizers)."""
-    best = -1
-    one_turn = False
-    argmax: list[str] = []
-    for bits in range(1 << max(0, n - 1)):
-        symbols = "".join("+" if (bits >> i) & 1 else "-" for i in range(n - 1))
-        val = pi_t(build(ThresholdCode(symbols)), t)
-        if val > best:
-            best, argmax, one_turn = val, [], False
-        if val == best:
-            changes = sum(1 for a, b in zip(symbols, symbols[1:]) if a != b)
-            if changes <= 1:
-                one_turn = True
-            if len(argmax) < 5:
-                argmax.append(symbols[::-1])
-    return best, one_turn, argmax
+    display strings of the first five maximizers in increasing code order,
+    the bits with symbols[i] = '+' read as a binary number).
+
+    Read from the last-added vertex back, a code is a lattice walk: a '-'
+    after a '+'s adds C(a, t-1) to the clique count K_t and a '+' after b
+    '-'s adds C(b, t-1) to the independent count I_t.  The seed repeats
+    symbols[0], and with the end point's C(|clique side|, t) and
+    C(|independent side|, t) it adds C(a+1, t) to K_t and C(b+1, t) to I_t
+    whichever sign it takes.  ``_lattice_max`` maximizes K_t * I_t over these
+    walks without building a graph.  Like ``pi_t`` on the built graph (one
+    vertex for n <= 1), raises for t outside [0, max(n, 1)].
+    """
+    steps = max(0, n - 1)
+    if not 0 <= t <= steps + 1:
+        raise ValueError(f"size t must be in [0, {steps + 1}], got {t}")
+    w, ends = _code_terms(steps, t)
+    best, hits = _lattice_max(w, steps, steps, steps, ends, ends)
+    return best, any(_turns(code) <= 1 for code in hits), hits[:5]
 
 
 SUITES = {

@@ -1,9 +1,10 @@
 """Small graph builders and exact polynomial certificates shared across test modules."""
 
 from fractions import Fraction
-from math import comb
+from itertools import combinations_with_replacement
+from math import comb, factorial
 
-from ngbounds import Graph, one_turn_value
+from ngbounds import Graph, ThresholdCode, border_from_heights, build, one_turn_value, pi_t
 from ngbounds.oracle import _graph_from_rng
 
 
@@ -122,3 +123,55 @@ def two_turn_grid_argmax(t: int, k: int) -> tuple[int, int, int]:
             if val > best[2]:
                 best = (i, j, val)
     return best
+
+
+# The brute-force searches the pruned lattice walk replaced, kept as its oracles.
+
+
+def border_max_by_enumeration(r: int, s: int, t: int):
+    """discrete_border_max by visiting all C(r+s, s) height sequences."""
+    tm1 = t - 1
+    pw = [x**tm1 for x in range(max(r, s) + 1)]
+    rt = r**t
+    st = s**t
+    best_val = -1
+    best_turns = -1
+    best_b = None
+    for b in combinations_with_replacement(range(r + 1), s):
+        sb = 0
+        for x in b:
+            sb += pw[x]
+        # conjugate sums without materializing the partner sequence:
+        # a_i = #{j : b_j <= r - i}, walked with one pointer since b is sorted
+        sa = 0
+        p = s
+        for level in range(r - 1, -1, -1):
+            while p > 0 and b[p - 1] > level:
+                p -= 1
+            sa += pw[p]
+        val = (rt + t * sb) * (st + t * sa)
+        if val < best_val:
+            continue
+        turns = border_from_heights(b, r).turns
+        if val > best_val or turns < best_turns or (turns == best_turns and b < best_b):
+            best_val, best_turns, best_b = val, turns, b
+    return border_from_heights(best_b, r), Fraction(best_val, factorial(t) ** 2)
+
+
+def code_max_by_enumeration(n: int, t: int):
+    """threshold_code_max by building and counting all 2^(n-1) codes."""
+    best = -1
+    one_turn = False
+    argmax = []
+    for bits in range(1 << max(0, n - 1)):
+        symbols = "".join("+" if (bits >> i) & 1 else "-" for i in range(n - 1))
+        val = pi_t(build(ThresholdCode(symbols)), t)
+        if val > best:
+            best, argmax, one_turn = val, [], False
+        if val == best:
+            changes = sum(1 for a, b in zip(symbols, symbols[1:]) if a != b)
+            if changes <= 1:
+                one_turn = True
+            if len(argmax) < 5:
+                argmax.append(symbols[::-1])
+    return best, one_turn, argmax

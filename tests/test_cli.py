@@ -7,7 +7,7 @@ import pytest
 
 from ngbounds import Graph, emit_graph6, multicolor_upper_bound
 from ngbounds.cli import main
-from ngbounds.verify import SUITES, Report
+from ngbounds.verify import SUITES, Report, threshold_code_max
 
 from helpers import cycle_graph
 
@@ -269,6 +269,29 @@ def test_extremal_coloring_scan_matches_the_benchmark_reference(capsys):
     expected = json.loads((BENCH_INPUTS / "exhaustive_scan" / "expected.json").read_text(encoding="utf-8"))["e02"]
     code, out, _ = run(capsys, "extremal", "--n", "6", "--coloring-r", "2", "--quantity", "product")
     assert (code, out) == (expected["exit"], expected["stdout"])
+
+
+def test_extremal_refuses_an_unprintable_coloring_value_before_printing(capsys):
+    # the product 2^20000 has 6,021 digits, past Python's int-to-str limit
+    code, out, err = run(capsys, "extremal", "--n", "1", "--coloring-r", "20000", "--quantity", "product")
+    assert (code, out) == (2, "")
+    assert "--coloring-r 20000 is too large" in err
+    code, out, _ = run(capsys, "extremal", "--n", "1", "--coloring-r", "20000", "--quantity", "sum")
+    assert code == 0 and out.splitlines()[1].split(",")[5] == "40000"
+
+
+@pytest.mark.parametrize("argv", [("--n", "2", "--coloring-r", "2000000"), ("--n", "1", "--coloring-r", "1000000000")])
+def test_extremal_refuses_coloring_scans_past_the_work_cap(capsys, argv):
+    code, out, err = run(capsys, "extremal", *argv, "--quantity", "product")
+    assert (code, out) == (2, "")
+    assert "past the cap" in err
+
+
+def test_border_search_matches_the_benchmark_reference(capsys):
+    expected = json.loads((BENCH_INPUTS / "border_search" / "expected.json").read_text(encoding="utf-8"))
+    code, out, _ = run(capsys, "verify", "borders", "--t", "3", "--n-max", "19")
+    assert (code, out) == (expected["b01"]["exit"], expected["b01"]["stdout"])
+    assert repr(threshold_code_max(14, 3)) + "\n" == expected["b02"]["stdout"]
 
 
 @pytest.mark.parametrize(

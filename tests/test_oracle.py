@@ -1,4 +1,5 @@
 import math
+import time
 from itertools import product
 
 import pytest
@@ -168,6 +169,21 @@ def test_coloring_scan_one_color_at_62_vertices():
 def test_coloring_extremal_guard():
     with pytest.raises(ValueError):
         exhaustive_coloring_extremal(7, 3, "sum", "max")
+
+
+@pytest.mark.parametrize("n,r", [(2, 2_000_000), (1, 10**9), (2, 2049), (1, 2**16 + 1), (62, 2), (5, 5)])
+def test_coloring_work_cap_refuses_up_front(n, r):
+    # (2, 2_000_000) would do 4e12 lookups and (1, 10^9) build 10^9 graphs
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="past the cap"):
+        exhaustive_coloring_extremal(n, r, "product", "max")
+    assert time.perf_counter() - start < 1
+
+
+def test_coloring_work_cap_keeps_its_edge_cases():
+    # (5, 4) does exactly 2^22 lookups; (2, 40) and (62, 1) are tested above
+    rec = exhaustive_coloring_extremal(5, 4, "sum", "max")
+    assert rec.value == 2**5 + 3 * 6 and rec.total_witnesses == 4  # one K_5, three empty graphs
 
 
 def test_sample_random_graph_deterministic():

@@ -14,8 +14,11 @@ from ngbounds.packing import (
     one_turn_value,
     packed_pair,
 )
+from ngbounds.verify import threshold_code_max
 
 from helpers import (
+    border_max_by_enumeration,
+    code_max_by_enumeration,
     one_turn_slope_identity,
     poly_at,
     ratio_polynomial,
@@ -140,6 +143,37 @@ def test_discrete_border_max_agrees_with_direct_enumeration():
             best = max(best, val)
         _, value = discrete_border_max(r, s, t)
         assert value == Fraction(best, factorial(t) ** 2)
+
+
+@pytest.mark.parametrize("t", (2, 3, 4, 5))
+def test_discrete_border_max_matches_path_enumeration(t):
+    # path, value, turns and orientation, tie-break included
+    for n in range(13):
+        for r in range(n + 1):
+            got_path, got_value = discrete_border_max(r, n - r, t)
+            want_path, want_value = border_max_by_enumeration(r, n - r, t)
+            assert (got_path, got_value) == (want_path, want_value)
+            assert (got_path.turns, got_path.orientation) == (want_path.turns, want_path.orientation)
+
+
+@pytest.mark.parametrize("t", range(6))
+def test_threshold_code_max_matches_code_enumeration(t):
+    # value, one-turn flag and the first five maximizers in code order
+    for n in range(t, 13):
+        assert threshold_code_max(n, t) == code_max_by_enumeration(n, t)
+
+
+def test_threshold_code_max_refuses_sizes_past_n():
+    for n, t in ((1, 2), (3, 4), (12, 13), (5, -1)):
+        with pytest.raises(ValueError, match="size t must be in"):
+            threshold_code_max(n, t)
+
+
+def test_threshold_code_max_at_twenty_vertices():
+    # 2^19 codes; the pruned walk visits a small fraction of them
+    value, one_turn, argmax = threshold_code_max(20, 3)
+    assert value == 88088 and one_turn
+    assert argmax == ["-------++++++++++++", "+++++++------------"]
 
 
 def test_discrete_border_max_scaling_trend():

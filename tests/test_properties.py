@@ -1,9 +1,26 @@
 """Property tests (hypothesis, derandomized so every run draws the same cases)."""
 
+from math import comb
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ngbounds import Graph, clique_profile, complement, independent_profile, profile_by_scan
+from ngbounds import (
+    Graph,
+    GraphFamily,
+    ThresholdCode,
+    build,
+    clique_profile,
+    complement,
+    emit_coloring,
+    emit_graph6,
+    independent_profile,
+    parse_coloring,
+    parse_graph6,
+    profile_by_scan,
+)
+from ngbounds.packing import _walk_sums
+from ngbounds.verify import _code_terms
 
 
 @st.composite
@@ -11,6 +28,14 @@ def graphs(draw, n_max: int = 14):
     n = draw(st.integers(0, n_max))
     mask = draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1))
     return Graph.from_edge_mask(n, mask)
+
+
+@st.composite
+def colorings(draw, n_max: int = 9, r_max: int = 5):
+    n = draw(st.integers(0, n_max))
+    r = draw(st.integers(1, r_max))
+    colors = draw(st.lists(st.none() | st.integers(0, r - 1), min_size=comb(n, 2), max_size=comb(n, 2)))
+    return GraphFamily.from_colors(n, r, colors)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -23,3 +48,30 @@ def test_clique_profile_matches_subset_scan(g):
 @given(graphs())
 def test_independent_profile_is_clique_profile_of_complement(g):
     assert independent_profile(g).by_size == clique_profile(complement(g)).by_size
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.text("+-", max_size=15))
+def test_code_walk_sums_are_the_size_counts_of_the_built_graph(symbols):
+    # threshold_code_max walks the display string; its two sums are K_t and I_t
+    g = build(ThresholdCode(symbols))
+    kp, ip = clique_profile(g), independent_profile(g)
+    for t in range(2, 6):
+        w, ends = _code_terms(len(symbols), t)
+        assert _walk_sums(w, symbols[::-1], ends, ends) == (kp.count(t), ip.count(t))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(graphs(n_max=62))
+def test_graph6_round_trip(g):
+    text = emit_graph6(g)
+    assert parse_graph6(text) == g
+    assert emit_graph6(parse_graph6(text)) == text
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(colorings())
+def test_coloring_round_trip(fam):
+    text = emit_coloring(fam)
+    assert parse_coloring(text) == fam
+    assert emit_coloring(parse_coloring(text)) == text
