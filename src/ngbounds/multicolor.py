@@ -146,15 +146,16 @@ def parse_coloring(text: str) -> GraphFamily:
     return GraphFamily.from_colors(n, r, colors)
 
 
+def coloring_text(n: int, r: int, colors) -> str:
+    """The text format of a coloring given as one entry per ``edge_list(n)``
+    slot: the 0-based color of that pair, or None to leave it uncolored."""
+    out = [f"{n} {r}"] + [f"{u} {v} {c + 1}" for (u, v), c in zip(edge_list(n), colors, strict=True) if c is not None]
+    return "\n".join(out) + "\n"
+
+
 def emit_coloring(fam: GraphFamily) -> str:
     """Serialize to the text format; edges in (u, v) lexicographic order."""
-    out = [f"{fam.n} {fam.r}"]
-    for u in range(fam.n):
-        for v in range(u + 1, fam.n):
-            c = fam.color_of(u, v)
-            if c is not None:
-                out.append(f"{u} {v} {c + 1}")
-    return "\n".join(out) + "\n"
+    return coloring_text(fam.n, fam.r, [fam.color_of(u, v) for u, v in edge_list(fam.n)])
 
 
 def certificate_length(n: int, r: int) -> int:

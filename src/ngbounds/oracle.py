@@ -3,11 +3,14 @@
 Exhaustive scans enumerate every labeled graph as an edge-set bitmask over
 ``edge_list(n)`` slots.  Per-graph counts are evaluated in bulk: each
 tracked vertex subset occupies one bit of a 64-bit word, two lookup tables
-(low/high halves of the edge mask) say which subsets are cliques or
-independent inside a graph, and a popcount finishes the job.  Sharding is
-by residue: shard k of K processes masks congruent to k mod K, and partial
-records merge associatively.  The coloring scan tabulates k(G_mask) with the
-same kernel and evaluates every coloring as array lookups, color by color.
+(low/high halves of the edge mask) say which subsets are cliques inside a
+graph, and a popcount finishes the job.  Only clique tables are built: a
+subset is independent in a mask exactly when it is a clique in the
+complement mask, whose table index is the reverse one, so the independent
+tables are the clique tables read backwards.  Sharding is by residue: shard
+k of K processes masks congruent to k mod K, and partial records merge
+associatively.  The coloring scan tabulates k(G_mask) with the same kernel
+and evaluates every coloring as array lookups, color by color.
 
 Randomness is PCG64 via numpy with an explicit stream rule: a sampler
 called with ``seed`` draws from SeedSequence([seed]); trial ``i`` of a
@@ -21,22 +24,31 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb, log, log2
 from operator import attrgetter
+from statistics import median
 from typing import Optional
 
 import numpy as np
 
 from .counting import pi, pi_t, sigma, sigma_t
 from .graphs import Graph, edge_list, emit_graph6, parse_graph6
-from .multicolor import GraphFamily, Tournament, emit_coloring, parse_coloring
+from .multicolor import GraphFamily, Tournament, coloring_text, parse_coloring, product_clique_counts, sum_clique_counts
 
 WITNESS_CAP = 100
 _TOTAL_SCAN_MAX = 7  # 2^21 graphs
 _SIZED_SCAN_MAX = 8  # 2^28 graphs, fixed-size counts only
 _COLORING_LOOKUPS_MAX = 1 << 22  # r^(C(n,2)+1): 4^11 at (n, r) = (5, 4)
 _LONE_COLORS_MAX = 1 << 16  # graphs built for a lone coloring (n <= 1 or r = 1)
+_CHUNK = 1 << 22  # edge masks evaluated per numpy pass
 
-_GRAPH_QUANTITIES = {"sigma", "pi", "sigma_t", "pi_t"}
-_COLORING_QUANTITIES = {"sum", "product"}
+# name -> (value of one parsed witness, the numpy ufunc that combines a
+# graph's clique and independent counts or a coloring's per-color counts)
+_GRAPH_QUANTITIES = {
+    "sigma": (lambda g, t: sigma(g), np.add),
+    "pi": (lambda g, t: pi(g), np.multiply),
+    "sigma_t": (sigma_t, np.add),
+    "pi_t": (pi_t, np.multiply),
+}
+_COLORING_QUANTITIES = {"sum": (sum_clique_counts, np.add), "product": (product_clique_counts, np.multiply)}
 
 
 def rng_for(seed_ints) -> np.random.Generator:
@@ -64,34 +76,12 @@ class ExtremalRecord:
             return not self.witnesses
         for blob in self.witnesses:
             if self.kind == "graph6":
-                got = _eval_graph_quantity(parse_graph6(blob), self.quantity, self.t)
+                got = _GRAPH_QUANTITIES[self.quantity][0](parse_graph6(blob), self.t)
             else:
-                got = _eval_coloring_quantity(parse_coloring(blob), self.quantity)
+                got = _COLORING_QUANTITIES[self.quantity][0](parse_coloring(blob))
             if got != self.value:
                 return False
         return True
-
-
-def _eval_graph_quantity(g: Graph, quantity: str, t: Optional[int]) -> int:
-    if quantity == "sigma":
-        return sigma(g)
-    if quantity == "pi":
-        return pi(g)
-    if quantity == "sigma_t":
-        return sigma_t(g, t)
-    if quantity == "pi_t":
-        return pi_t(g, t)
-    raise ValueError(f"unknown graph quantity {quantity!r}")
-
-
-def _eval_coloring_quantity(fam: GraphFamily, quantity: str) -> int:
-    from .multicolor import product_clique_counts, sum_clique_counts
-
-    if quantity == "sum":
-        return sum_clique_counts(fam)
-    if quantity == "product":
-        return product_clique_counts(fam)
-    raise ValueError(f"unknown coloring quantity {quantity!r}")
 
 
 def _popcount64(arr: np.ndarray) -> np.ndarray:
@@ -104,46 +94,41 @@ def _popcount64(arr: np.ndarray) -> np.ndarray:
     return ((x * np.uint64(0x0101010101010101)) >> np.uint64(56)).astype(np.int64)
 
 
-def _subset_pairmasks(n: int, t: Optional[int]) -> list[int]:
-    """Edge-slot requirement mask of each tracked vertex subset."""
+def _tables(n: int, t: Optional[int]):
+    """Lookup tables of the tracked vertex subsets (all sizes, or size t):
+    (lo_bits, words), one (cl_lo, cl_hi, in_lo, in_hi) word per 64 subsets.
+    Bit b of cl_lo[x] & cl_hi[y] says subset b is a clique of edge mask
+    x | y << lo_bits; the in_ tables are the cl_ ones reversed."""
+    m = comb(n, 2)
+    lo_bits = min(m, 14)
     slots = {e: i for i, e in enumerate(edge_list(n))}
-    out = []
-    for size in range(n + 1) if t is None else [t]:
-        for verts in combinations(range(n), size):
-            out.append(sum(1 << slots[pair] for pair in combinations(verts, 2)))
-    return out
-
-
-def _make_tables(pairmasks: list[int], lo_bits: int, hi_bits: int):
-    """Per 64-subset word: (clique_lo, clique_hi, indep_lo, indep_hi) tables."""
-    lo_size = 1 << lo_bits
-    hi_size = 1 << hi_bits
-    xs_lo = np.arange(lo_size, dtype=np.int64)
-    xs_hi = np.arange(hi_size, dtype=np.int64)
+    pairmasks = [
+        sum(1 << slots[pair] for pair in combinations(verts, 2))
+        for size in (range(n + 1) if t is None else [t])
+        for verts in combinations(range(n), size)
+    ]
+    xs_lo = np.arange(1 << lo_bits, dtype=np.int64)
+    xs_hi = np.arange(1 << (m - lo_bits), dtype=np.int64)
     words = []
     for start in range(0, len(pairmasks), 64):
-        group = pairmasks[start : start + 64]
-        cl_lo = np.zeros(lo_size, dtype=np.uint64)
-        cl_hi = np.zeros(hi_size, dtype=np.uint64)
-        in_lo = np.zeros(lo_size, dtype=np.uint64)
-        in_hi = np.zeros(hi_size, dtype=np.uint64)
-        for bit, pm in enumerate(group):
-            pm_lo = pm & (lo_size - 1)
+        cl_lo = np.zeros(len(xs_lo), dtype=np.uint64)
+        cl_hi = np.zeros(len(xs_hi), dtype=np.uint64)
+        for bit, pm in enumerate(pairmasks[start : start + 64]):
+            pm_lo = pm & (len(xs_lo) - 1)
             pm_hi = pm >> lo_bits
             shift = np.uint64(bit)
             cl_lo |= ((xs_lo & pm_lo) == pm_lo).astype(np.uint64) << shift
             cl_hi |= ((xs_hi & pm_hi) == pm_hi).astype(np.uint64) << shift
-            in_lo |= ((xs_lo & pm_lo) == 0).astype(np.uint64) << shift
-            in_hi |= ((xs_hi & pm_hi) == 0).astype(np.uint64) << shift
-        words.append((cl_lo, cl_hi, in_lo, in_hi))
-    return words
+        words.append((cl_lo, cl_hi, cl_lo[::-1], cl_hi[::-1]))
+    return lo_bits, words
 
 
-def _mask_counts(ranges, lo_bits: int, words, combine):
-    """For each edge-mask range (start, stop, step): start, and ``combine`` of
-    each mask's tracked clique and independent-set counts.  A generator, so a
-    chunk's arrays are freed only as the next chunk's are built; freeing them
-    at once lets the allocator return and refault that memory every chunk."""
+def _mask_counts(ranges, lo_bits: int, words):
+    """For each edge-mask range (start, stop, step): start, and each mask's
+    tracked clique and independent-set counts.  A generator, so a chunk's
+    arrays are freed only as the next chunk's are built; freeing them at once
+    lets the allocator return and refault that memory every chunk.  A caller
+    that holds a chunk's arrays into the next one costs the same refaults."""
     for start, stop, step in ranges:
         edges = np.arange(start, stop, step, dtype=np.int64)
         lo_idx = edges & ((1 << lo_bits) - 1)
@@ -153,7 +138,7 @@ def _mask_counts(ranges, lo_bits: int, words, combine):
         for cl_lo, cl_hi, in_lo, in_hi in words:
             kcnt += _popcount64(cl_lo[lo_idx] & cl_hi[hi_idx])
             icnt += _popcount64(in_lo[lo_idx] & in_hi[hi_idx])
-        yield start, combine(kcnt, icnt)
+        yield start, kcnt, icnt
 
 
 def exhaustive_extremal(
@@ -163,7 +148,6 @@ def exhaustive_extremal(
     t: Optional[int] = None,
     shards: int = 1,
     shard: Optional[int] = None,
-    chunk: int = 1 << 22,
 ) -> ExtremalRecord:
     """Exact extremum of a quantity over all labeled graphs on n vertices.
 
@@ -188,28 +172,24 @@ def exhaustive_extremal(
     if shards < 1:
         raise ValueError("need at least one shard")
     if shard is None:
-        parts = [
-            exhaustive_extremal(n, quantity, direction, t, shards=shards, shard=s, chunk=chunk)
-            for s in range(shards)
-        ]
+        parts = [exhaustive_extremal(n, quantity, direction, t, shards=shards, shard=s) for s in range(shards)]
         return merge_records(parts)
     if not 0 <= shard < shards:
         raise ValueError(f"shard must be in [0, {shards}), got {shard}")
 
     m = n * (n - 1) // 2
-    pairmasks = _subset_pairmasks(n, t if sized else None)
-    lo_bits = min(m, 14)
-    hi_bits = m - lo_bits
-    words = _make_tables(pairmasks, lo_bits, hi_bits)
-    combine = np.add if quantity in ("sigma", "sigma_t") else np.multiply
+    lo_bits, words = _tables(n, t if sized else None)
+    combine = _GRAPH_QUANTITIES[quantity][1]
     want_max = direction == "max"
 
     best: Optional[int] = None
     masks: list[int] = []
     total_wit = 0
-    spans = ((base + (shard - base) % shards, min(base + chunk, 1 << m)) for base in range(0, 1 << m, chunk))
+    spans = ((base + (shard - base) % shards, min(base + _CHUNK, 1 << m)) for base in range(0, 1 << m, _CHUNK))
     ranges = ((first, stop, shards) for first, stop in spans if first < stop)
-    for first, vals in _mask_counts(ranges, lo_bits, words, combine):
+    for first, kcnt, icnt in _mask_counts(ranges, lo_bits, words):
+        vals = combine(kcnt, icnt, out=kcnt)
+        del icnt  # so the next chunk's arrays reuse its memory (see _mask_counts)
         ext = int(vals.max() if want_max else vals.min())
         if best is None or (ext > best if want_max else ext < best):
             best = ext
@@ -279,19 +259,16 @@ def exhaustive_coloring_extremal(n: int, r: int, quantity: str, direction: str) 
             raise ValueError(f"{r} colors on {n} vertices need {r}^{m + 1} table lookups, past the cap of 2^22")
     elif r > _LONE_COLORS_MAX:
         raise ValueError(f"{r} colors on {n} vertices need {r} graphs, past the cap of 2^16")
+    evaluate, combine = _COLORING_QUANTITIES[quantity]
     if r**m == 1:
-        fam = GraphFamily.from_colors(n, r, [0] * m)
-        val = _eval_coloring_quantity(fam, quantity)
-        return ExtremalRecord(n, quantity, direction, None, val, (emit_coloring(fam),), 1, "coloring", r=r)
-    lo_bits = min(m, 14)
-    words = _make_tables(_subset_pairmasks(n, None), lo_bits, m - lo_bits)
-    _, kcnt = next(_mask_counts([(0, 1 << m, 1)], lo_bits, words, lambda kcnt, icnt: kcnt))
+        val = evaluate(GraphFamily.from_colors(n, r, [0] * m))
+        return ExtremalRecord(n, quantity, direction, None, val, (coloring_text(n, r, [0] * m),), 1, "coloring", r=r)
+    _, kcnt, _ = next(_mask_counts([(0, 1 << m, 1)], *_tables(n, None)))
     table = kcnt if quantity == "sum" or n * r <= 62 else kcnt.astype(object)
     low = m // 2
     bits = np.int64(1) << np.arange(m, dtype=np.int64)
     lo_digits = np.arange(r**low)[:, None] // r ** np.arange(low) % r
     hi_digits = np.arange(r ** (m - low))[:, None] // r ** np.arange(m - low) % r
-    combine = np.add if quantity == "sum" else np.multiply
     vals = np.full(r**m, combine.identity, dtype=table.dtype)
     for c in range(r):
         # code = hi * r^low + lo, so the hi index is the outer one
@@ -299,10 +276,7 @@ def exhaustive_coloring_extremal(n: int, r: int, quantity: str, direction: str) 
         combine(vals, table[mask.ravel()], out=vals)
     ext = vals.max() if direction == "max" else vals.min()
     hits = np.flatnonzero(vals == ext)
-    witnesses = tuple(
-        emit_coloring(GraphFamily.from_colors(n, r, [int(code) // r**s % r for s in range(m)]))
-        for code in hits[:WITNESS_CAP]
-    )
+    witnesses = tuple(coloring_text(n, r, [int(code) // r**s % r for s in range(m)]) for code in hits[:WITNESS_CAP])
     return ExtremalRecord(n, quantity, direction, None, int(ext), witnesses, len(hits), "coloring", r=r)
 
 
@@ -366,14 +340,12 @@ class ExponentReport:
         return out
 
     def summary(self) -> dict:
-        rs = sorted(self.ratios)
-        mid = len(rs) // 2
-        median = rs[mid] if len(rs) % 2 else 0.5 * (rs[mid - 1] + rs[mid])
+        rs = self.ratios
         return {
             "n": self.n,
             "trials": self.trials,
             "min": min(rs),
-            "median": median,
+            "median": median(rs),
             "max": max(rs),
         }
 

@@ -27,7 +27,7 @@ from .multicolor import (
     tournament_blocks,
     tournament_construction,
 )
-from .oracle import _graph_from_rng, exhaustive_coloring_extremal, exhaustive_extremal, rng_for
+from .oracle import _graph_from_rng, exhaustive_coloring_extremal, exhaustive_extremal, random_tournament, rng_for
 from .packing import MAX_RECTANGLE, _lattice_max, _turns, discrete_border_max
 from .threshold import ThresholdCode, build, closed_form_counts, recognize, split_degrees
 
@@ -200,9 +200,10 @@ def verify_multicolor(trials: int = 100, seed: int = 23) -> Report:
         q = int(rng.integers(0, min(3, n) + 1))
         fam = GraphFamily.from_colors(n, r, [int(rng.integers(0, r)) for _ in range(comb(n, 2))])
         blob = emit_coloring(fam)
+        product = product_clique_counts(fam)
 
         low = prod(pigeonhole_sequence(n, r, q))
-        hi = factorial(q) * product_clique_counts(fam)
+        hi = factorial(q) * product
         mid = count_good_sequences(fam, q)
         if not low <= mid <= hi:
             rep.fail(f"sandwich {low} <= {mid} <= {hi} fails at n={n} r={r} q={q}", blob)
@@ -210,11 +211,11 @@ def verify_multicolor(trials: int = 100, seed: int = 23) -> Report:
         cert = good_sequence_certificate(fam)
         if not cert.is_valid(fam):
             rep.fail(f"greedy certificate invalid at n={n} r={r}", blob)
-        if cert.bound > product_clique_counts(fam):
+        if cert.bound > product:
             rep.fail(f"certificate bound {cert.bound} exceeds the product", blob)
 
         total = sum_clique_counts(fam)
-        if total**r < r**r * product_clique_counts(fam):
+        if total**r < r**r * product:
             rep.fail(f"AM-GM fails at n={n} r={r}", blob)
     rep.note(f"{trials} random total colorings, seed {seed}: sandwich/certificate/AM-GM")
 
@@ -245,8 +246,6 @@ def verify_multicolor(trials: int = 100, seed: int = 23) -> Report:
         if product_clique_counts(fam) > multicolor_upper_bound(n, fam.r):
             rep.fail(f"product exceeds the closed-form bound at n={n}", blob)
     rep.note(f"{trials} sampled partial 3-colorings, n <= 6: covering and product bounds")
-
-    from .oracle import random_tournament
 
     for r in range(2, 7):
         for k in range(5):
@@ -313,9 +312,13 @@ def threshold_code_max(n: int, t: int) -> tuple[int, bool, list[str]]:
     C(|independent side|, t) it adds C(a+1, t) to K_t and C(b+1, t) to I_t
     whichever sign it takes.  ``_lattice_max`` maximizes K_t * I_t over these
     walks without building a graph.  Like ``pi_t`` on the built graph (one
-    vertex for n <= 1), raises for t outside [0, max(n, 1)].
+    vertex for n <= 1), raises for t outside [0, max(n, 1)].  The walk grows
+    about 14x per 5 vertices, so, like ``discrete_border_max``, it is capped
+    at ``MAX_RECTANGLE`` steps: n <= 25.
     """
     steps = max(0, n - 1)
+    if steps > MAX_RECTANGLE:
+        raise ValueError(f"threshold code scan is capped at n <= {MAX_RECTANGLE + 1}, got {n}")
     if not 0 <= t <= steps + 1:
         raise ValueError(f"size t must be in [0, {steps + 1}], got {t}")
     w, ends = _code_terms(steps, t)

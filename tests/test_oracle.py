@@ -2,17 +2,20 @@ import math
 import time
 from itertools import product
 
+import numpy as np
 import pytest
 
 from ngbounds import (
     ExtremalRecord,
     Graph,
     GraphFamily,
+    clique_profile,
     count_cliques,
     emit_coloring,
     emit_graph6,
     exhaustive_coloring_extremal,
     exhaustive_extremal,
+    independent_profile,
     merge_records,
     parse_coloring,
     random_pi_exponent,
@@ -23,7 +26,7 @@ from ngbounds import (
 )
 from ngbounds.graphs import edge_list
 from ngbounds.multicolor import certificate_lower_bound
-from ngbounds.oracle import WITNESS_CAP
+from ngbounds.oracle import WITNESS_CAP, _mask_counts, _popcount64, _tables, rng_for
 
 
 def test_exhaustive_pi_max_small():
@@ -80,6 +83,32 @@ def test_exhaustive_extremal_validation():
         exhaustive_extremal(5, "pi", "upward")
     with pytest.raises(ValueError):
         exhaustive_extremal(5, "tau", "max")
+
+
+@pytest.mark.parametrize("t", [None, 2, 3])
+def test_mask_counts_match_the_counting_engine(t):
+    # every mask for n <= 5 (low table only), then seeded masks for n = 6..8,
+    # where the high table and several 64-subset words come in; the
+    # independent counts come from reversed clique tables
+    for n in range(1 if t is None else t, 9):
+        m = math.comb(n, 2)
+        masks = range(1 << m) if n <= 5 else rng_for([n]).integers(0, 1 << m, size=100).tolist()
+        counts = _mask_counts([(mk, mk + 1, 1) for mk in masks], *_tables(n, t))
+        for mask, (_, kcnt, icnt) in zip(masks, counts):
+            g = Graph.from_edge_mask(n, mask)
+            kp, ip = clique_profile(g), independent_profile(g)
+            want = (sum(kp.by_size), sum(ip.by_size)) if t is None else (kp.count(t), ip.count(t))
+            assert (kcnt[0], icnt[0]) == want, (n, mask)
+
+
+def test_popcount_fallback_matches_bitwise_count(monkeypatch):
+    seeded = rng_for([11]).integers(0, 2**64, size=500, dtype=np.uint64)
+    words = np.concatenate([np.array([0, 2**64 - 1], dtype=np.uint64), seeded])
+    want = [int(w).bit_count() for w in words]
+    assert _popcount64(words).tolist() == want
+    monkeypatch.delattr(np, "bitwise_count", raising=False)  # numpy 1.x has none
+    got = _popcount64(words)
+    assert got.dtype == np.int64 and got.tolist() == want
 
 
 def test_merge_records_rejects_mixed_scans():

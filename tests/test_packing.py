@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from math import comb, factorial, isclose, sqrt
 
@@ -167,6 +168,11 @@ def test_threshold_code_max_refuses_sizes_past_n():
     for n, t in ((1, 2), (3, 4), (12, 13), (5, -1)):
         with pytest.raises(ValueError, match="size t must be in"):
             threshold_code_max(n, t)
+    # past the 24-step walk the scan would run for minutes; it refuses at once
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="capped at n <= 25"):
+        threshold_code_max(26, 3)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_threshold_code_max_at_twenty_vertices():

@@ -19,6 +19,7 @@ from ngbounds import (
     parse_graph6,
     profile_by_scan,
 )
+from ngbounds.multicolor import coloring_text
 from ngbounds.packing import _walk_sums
 from ngbounds.verify import _code_terms
 
@@ -35,7 +36,7 @@ def colorings(draw, n_max: int = 9, r_max: int = 5):
     n = draw(st.integers(0, n_max))
     r = draw(st.integers(1, r_max))
     colors = draw(st.lists(st.none() | st.integers(0, r - 1), min_size=comb(n, 2), max_size=comb(n, 2)))
-    return GraphFamily.from_colors(n, r, colors)
+    return n, r, colors
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -71,7 +72,10 @@ def test_graph6_round_trip(g):
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(colorings())
-def test_coloring_round_trip(fam):
+def test_coloring_round_trip(coloring):
+    n, r, colors = coloring
+    fam = GraphFamily.from_colors(n, r, colors)
     text = emit_coloring(fam)
+    assert coloring_text(n, r, colors) == text
     assert parse_coloring(text) == fam
     assert emit_coloring(parse_coloring(text)) == text
