@@ -147,7 +147,11 @@ def cmd_verify(args) -> int:
     if suite is None:
         raise ValueError(f"unknown suite {args.suite!r}; pick from {sorted(SUITES)}")
     params = inspect.signature(suite).parameters
-    report = suite(**{k: v for k, v in vars(args).items() if k in params and v is not None})
+    given = {k: v for k, v in vars(args).items() if k not in ("command", "func", "suite") and v is not None}
+    for k in given:
+        if k not in params:
+            raise ValueError(f"--{k.replace('_', '-')} does not apply to the {args.suite} suite")
+    report = suite(**given)
     for line in report.lines:
         print(line)
     if not report.passed:

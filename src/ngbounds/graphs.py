@@ -59,6 +59,12 @@ def edge_list(n: int) -> list[tuple[int, int]]:
     return list(combinations(range(n), 2))
 
 
+def edge_slot(n: int, u: int, v: int) -> int:
+    """Index of the pair {u, v}, u != v, in ``edge_list(n)``."""
+    u, v = min(u, v), max(u, v)
+    return u * (2 * n - u - 1) // 2 + v - u - 1
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on ``n`` <= 62 vertices, adjacency bit-rows."""

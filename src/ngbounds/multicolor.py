@@ -1,7 +1,9 @@
 """Multicolor machinery: edge-disjoint graph families on a shared vertex set.
 
-A family models an r-coloring of the complete graph's edges, possibly
-partial (some pairs uncolored).  Provided here:
+A family is an r-coloring of the complete graph's edges, possibly partial,
+stored as one color (or None for an uncolored pair) per ``edge_list(n)``
+slot, with r <= ``MAX_COLORS`` = 2^16.  Its member graphs, one per color,
+are edge-disjoint by construction and built on first use.  Provided here:
 
 * greedy good-sequence certificates witnessing the pigeonhole lower bound
   on the product of per-color clique counts, plus a brute-force counter for
@@ -12,20 +14,23 @@ partial (some pairs uncolored).  Provided here:
   edges, giving edge-disjoint graphs whose clique-count product is within a
   constant factor of the upper bound;
 * the text format for colorings: header ``n r``, then one ``u v c`` line per
-  colored edge (0-indexed vertices, colors 1..r).  Internally colors are
-  0-based member indices; only the text format is 1-based.
+  colored edge (0-indexed vertices, colors 1..r), read by ``parse_coloring``
+  and written only by ``emit_coloring``.  Internally colors are 0-based
+  member indices; only the text format is 1-based.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from functools import cached_property
+from itertools import permutations
 from math import comb, factorial, prod
 
 from .counting import count_cliques
-from .graphs import MAX_VERTICES, Graph, edge_list, iter_bits
+from .graphs import MAX_VERTICES, Graph, edge_list, edge_slot, iter_bits
+
+MAX_COLORS = 1 << 16  # a family builds one graph per color
 
 
 class ColoringFormatError(ValueError):
@@ -38,93 +43,66 @@ class ColoringFormatError(ValueError):
 
 @dataclass(frozen=True)
 class GraphFamily:
-    """r pairwise edge-disjoint graphs on a shared n-vertex set."""
+    """An r-coloring of the n-clique's edges, possibly partial: ``colors`` has
+    one entry per ``edge_list(n)`` slot, the 0-based color of that pair or
+    None if it is uncolored.  Member graph i holds the pairs of color i, so the
+    members are edge-disjoint by construction; they are built on first use."""
 
     n: int
-    members: tuple[Graph, ...]
+    r: int
+    colors: tuple[int | None, ...]
 
     def __post_init__(self):
-        if not self.members:
-            raise ValueError("a family needs at least one member")
-        for idx, g in enumerate(self.members):
-            if g.n != self.n:
-                raise ValueError(f"member {idx} has {g.n} vertices, expected {self.n}")
-        # one int per member, row v at bit 64 v, tested against the union of the earlier ones
-        packed = [int.from_bytes(array("Q", g.adj).tobytes(), "little") for g in self.members]
-        union = 0
-        for bits in packed:
-            if union & bits:
-                i, j = next((i, j) for i, j in combinations(range(len(packed)), 2) if packed[i] & packed[j])
-                raise ValueError(f"members {i} and {j} share an edge")
-            union |= bits
+        if not 0 <= self.n <= MAX_VERTICES:
+            raise ValueError(f"vertex count must be in [0, {MAX_VERTICES}], got {self.n}")
+        if not 1 <= self.r <= MAX_COLORS:
+            raise ValueError(f"color count must be in [1, {MAX_COLORS}], got {self.r}")
+        object.__setattr__(self, "colors", tuple(self.colors))
+        slots = edge_list(self.n)
+        if len(self.colors) != len(slots):
+            raise ValueError(f"expected {len(slots)} slot colors for n={self.n}, got {len(self.colors)}")
+        for (u, v), c in zip(slots, self.colors):
+            if c is not None and not 0 <= c < self.r:
+                raise ValueError(f"color {c} of pair ({u}, {v}) outside 0..{self.r - 1}")
 
-    @classmethod
-    def from_colors(cls, n: int, r: int, colors) -> "GraphFamily":
-        """Family of r members from one entry per ``edge_list(n)`` slot: the
-        0-based member index coloring that pair, or None to leave it uncolored."""
-        slots = edge_list(n)
-        if len(colors) != len(slots):
-            raise ValueError(f"expected {len(slots)} slot colors for n={n}, got {len(colors)}")
-        adj = [[0] * n for _ in range(r)]
-        for (u, v), c in zip(slots, colors):
-            if c is None:
-                continue
-            if not 0 <= c < r:
-                raise ValueError(f"color {c} of pair ({u}, {v}) outside 0..{r - 1}")
-            adj[c][u] |= 1 << v
-            adj[c][v] |= 1 << u
-        return cls(n, tuple(Graph(n, tuple(rs)) for rs in adj))
-
-    @property
-    def r(self) -> int:
-        return len(self.members)
+    @cached_property
+    def members(self) -> tuple[Graph, ...]:
+        adj = [[0] * self.n for _ in range(self.r)]
+        for (u, v), c in zip(edge_list(self.n), self.colors):
+            if c is not None:
+                adj[c][u] |= 1 << v
+                adj[c][v] |= 1 << u
+        return tuple(Graph(self.n, tuple(rows)) for rows in adj)
 
     @property
     def covers_all_edges(self) -> bool:
-        """True iff every vertex pair is an edge of some member (total coloring)."""
-        full = (1 << self.n) - 1
-        for v in range(self.n):
-            union = 0
-            for g in self.members:
-                union |= g.adj[v]
-            if union != full & ~(1 << v):
-                return False
-        return True
+        """True iff every vertex pair is colored (a total coloring)."""
+        return None not in self.colors
 
     def color_of(self, u: int, v: int) -> int | None:
-        """0-based member index coloring the pair, or None if uncolored."""
-        for idx, g in enumerate(self.members):
-            if g.has_edge(u, v):
-                return idx
-        return None
+        """0-based color of the pair u != v, or None if uncolored."""
+        return self.colors[edge_slot(self.n, u, v)]
 
 
 def parse_coloring(text: str) -> GraphFamily:
     """Parse the ``n r`` / ``u v c`` text format; validates as it goes."""
     lines = text.splitlines()
-    header_at = None
-    for lineno, raw in enumerate(lines, start=1):
-        if raw.strip() and not raw.lstrip().startswith("#"):
-            header_at = lineno
-            break
-    if header_at is None:
+    content = [(i, raw) for i, raw in enumerate(lines, start=1) if raw.strip() and not raw.lstrip().startswith("#")]
+    if not content:
         raise ColoringFormatError(len(lines) or 1, "missing 'n r' header")
-    parts = lines[header_at - 1].split()
+    (header_at, header), body = content[0], content[1:]
+    parts = header.split()
     if len(parts) != 2:
-        raise ColoringFormatError(header_at, f"header must be 'n r', got {lines[header_at - 1]!r}")
+        raise ColoringFormatError(header_at, f"header must be 'n r', got {header!r}")
     try:
         n, r = int(parts[0]), int(parts[1])
     except ValueError:
         raise ColoringFormatError(header_at, "header fields must be integers") from None
-    if not 0 <= n <= MAX_VERTICES or r < 1:
-        raise ColoringFormatError(
-            header_at, f"need 0 <= n <= {MAX_VERTICES} and r >= 1, got n={n} r={r}"
-        )
+    if not 0 <= n <= MAX_VERTICES or not 1 <= r <= MAX_COLORS:
+        msg = f"need 0 <= n <= {MAX_VERTICES} and 1 <= r <= {MAX_COLORS}, got n={n} r={r}"
+        raise ColoringFormatError(header_at, msg)
     colors: list[int | None] = [None] * comb(n, 2)
-    for lineno in range(header_at + 1, len(lines) + 1):
-        raw = lines[lineno - 1]
-        if not raw.strip() or raw.lstrip().startswith("#"):
-            continue
+    for lineno, raw in body:
         parts = raw.split()
         if len(parts) != 3:
             raise ColoringFormatError(lineno, f"edge line must be 'u v c', got {raw!r}")
@@ -138,24 +116,18 @@ def parse_coloring(text: str) -> GraphFamily:
             raise ColoringFormatError(lineno, f"vertex out of range in ({u}, {v}) with n={n}")
         if not 1 <= c <= r:
             raise ColoringFormatError(lineno, f"color {c} outside 1..{r}")
-        u, v = min(u, v), max(u, v)
-        slot = u * (2 * n - u - 1) // 2 + v - u - 1  # index of (u, v) in edge_list(n)
+        slot = edge_slot(n, u, v)
         if colors[slot] is not None:
-            raise ColoringFormatError(lineno, f"edge ({u}, {v}) assigned twice")
+            raise ColoringFormatError(lineno, f"edge ({min(u, v)}, {max(u, v)}) assigned twice")
         colors[slot] = c - 1
-    return GraphFamily.from_colors(n, r, colors)
-
-
-def coloring_text(n: int, r: int, colors) -> str:
-    """The text format of a coloring given as one entry per ``edge_list(n)``
-    slot: the 0-based color of that pair, or None to leave it uncolored."""
-    out = [f"{n} {r}"] + [f"{u} {v} {c + 1}" for (u, v), c in zip(edge_list(n), colors, strict=True) if c is not None]
-    return "\n".join(out) + "\n"
+    return GraphFamily(n, r, colors)
 
 
 def emit_coloring(fam: GraphFamily) -> str:
     """Serialize to the text format; edges in (u, v) lexicographic order."""
-    return coloring_text(fam.n, fam.r, [fam.color_of(u, v) for u, v in edge_list(fam.n)])
+    out = [f"{fam.n} {fam.r}"]
+    out += [f"{u} {v} {c + 1}" for (u, v), c in zip(edge_list(fam.n), fam.colors) if c is not None]
+    return "\n".join(out) + "\n"
 
 
 def certificate_length(n: int, r: int) -> int:
@@ -436,4 +408,4 @@ def tournament_construction(n: int, r: int, tournament: Tournament) -> GraphFami
         else:
             shared = set(label[u]) & set(label[v])
             colors.append(shared.pop() if shared else None)
-    return GraphFamily.from_colors(n, r, colors)
+    return GraphFamily(n, r, colors)

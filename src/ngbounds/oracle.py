@@ -10,7 +10,8 @@ complement mask, whose table index is the reverse one, so the independent
 tables are the clique tables read backwards.  Sharding is by residue: shard
 k of K processes masks congruent to k mod K, and partial records merge
 associatively.  The coloring scan tabulates k(G_mask) with the same kernel
-and evaluates every coloring as array lookups, color by color.
+and evaluates every coloring as array lookups, color by color; witnesses are
+written from families of their color codes, with no member graph built.
 
 Randomness is PCG64 via numpy with an explicit stream rule: a sampler
 called with ``seed`` draws from SeedSequence([seed]); trial ``i`` of a
@@ -31,13 +32,13 @@ import numpy as np
 
 from .counting import pi, pi_t, sigma, sigma_t
 from .graphs import Graph, edge_list, emit_graph6, parse_graph6
-from .multicolor import GraphFamily, Tournament, coloring_text, parse_coloring, product_clique_counts, sum_clique_counts
+from .multicolor import MAX_COLORS, GraphFamily, Tournament, emit_coloring, parse_coloring
+from .multicolor import product_clique_counts, sum_clique_counts
 
 WITNESS_CAP = 100
 _TOTAL_SCAN_MAX = 7  # 2^21 graphs
 _SIZED_SCAN_MAX = 8  # 2^28 graphs, fixed-size counts only
 _COLORING_LOOKUPS_MAX = 1 << 22  # r^(C(n,2)+1): 4^11 at (n, r) = (5, 4)
-_LONE_COLORS_MAX = 1 << 16  # graphs built for a lone coloring (n <= 1 or r = 1)
 _CHUNK = 1 << 22  # edge masks evaluated per numpy pass
 
 # name -> (value of one parsed witness, the numpy ufunc that combines a
@@ -244,7 +245,7 @@ def exhaustive_coloring_extremal(n: int, r: int, quantity: str, direction: str) 
     The work is capped up front.  The scan does r lookups for each of the
     r^m colorings, and r^(m+1) may not pass 2^22, the work of all 4^10
     colorings of K_5.  A lone coloring builds one graph per color, and r may
-    not pass 2^16.
+    not pass ``MAX_COLORS`` = 2^16, the color cap of every family.
     """
     if quantity not in _COLORING_QUANTITIES:
         raise ValueError(f"unknown coloring quantity {quantity!r}")
@@ -257,12 +258,12 @@ def exhaustive_coloring_extremal(n: int, r: int, quantity: str, direction: str) 
         # r >= 2 and m >= 22 give r^(m+1) >= 2^23, so the power is never huge
         if m >= 22 or r ** (m + 1) > _COLORING_LOOKUPS_MAX:
             raise ValueError(f"{r} colors on {n} vertices need {r}^{m + 1} table lookups, past the cap of 2^22")
-    elif r > _LONE_COLORS_MAX:
+    elif r > MAX_COLORS:
         raise ValueError(f"{r} colors on {n} vertices need {r} graphs, past the cap of 2^16")
     evaluate, combine = _COLORING_QUANTITIES[quantity]
     if r**m == 1:
-        val = evaluate(GraphFamily.from_colors(n, r, [0] * m))
-        return ExtremalRecord(n, quantity, direction, None, val, (coloring_text(n, r, [0] * m),), 1, "coloring", r=r)
+        fam = GraphFamily(n, r, [0] * m)
+        return ExtremalRecord(n, quantity, direction, None, evaluate(fam), (emit_coloring(fam),), 1, "coloring", r=r)
     _, kcnt, _ = next(_mask_counts([(0, 1 << m, 1)], *_tables(n, None)))
     table = kcnt if quantity == "sum" or n * r <= 62 else kcnt.astype(object)
     low = m // 2
@@ -276,7 +277,9 @@ def exhaustive_coloring_extremal(n: int, r: int, quantity: str, direction: str) 
         combine(vals, table[mask.ravel()], out=vals)
     ext = vals.max() if direction == "max" else vals.min()
     hits = np.flatnonzero(vals == ext)
-    witnesses = tuple(coloring_text(n, r, [int(code) // r**s % r for s in range(m)]) for code in hits[:WITNESS_CAP])
+    witnesses = tuple(
+        emit_coloring(GraphFamily(n, r, [int(code) // r**s % r for s in range(m)])) for code in hits[:WITNESS_CAP]
+    )
     return ExtremalRecord(n, quantity, direction, None, int(ext), witnesses, len(hits), "coloring", r=r)
 
 
@@ -307,7 +310,7 @@ def sample_random_coloring(n: int, r: int, seed: int, partial: bool = False) -> 
     rng = rng_for([seed])
     lo = 0 if partial else 1
     draws = [int(rng.integers(lo, r + 1)) for _ in range(comb(n, 2))]
-    return GraphFamily.from_colors(n, r, [c - 1 if c else None for c in draws])
+    return GraphFamily(n, r, [c - 1 if c else None for c in draws])
 
 
 def random_tournament(size: int, seed: int) -> Tournament:

@@ -2,9 +2,12 @@
 
 A threshold graph's two degree sequences across its clique/independent
 split pack into an r x s rectangle; the boundary between the two Ferrers
-diagrams is a monotone lattice path.  ``discrete_border_max`` maximizes the
-scaled size-t count product over all such paths exactly (rational
-arithmetic).  In the continuous relaxation the rectangle becomes
+diagrams is a monotone lattice path.  A ``BorderPath`` is stored as its step
+string, '-' a step right and '+' a step up (``ALPHABET``, which threshold
+codes share), the strings the pruned walk ``_lattice_max`` yields; its
+corners and turns are derived from the steps.  ``discrete_border_max``
+maximizes the scaled size-t count product over all such paths exactly
+(rational arithmetic).  In the continuous relaxation the rectangle becomes
 [0,q] x [0,p] with p + q = 1, and the best border turns once; its value
 is ``one_turn_value``, maximized in closed form by ``leading_term_bound``.
 
@@ -21,9 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from math import factorial, prod, sqrt
+from operator import attrgetter
 
 MAX_RECTANGLE = 24  # border search cap on r + s
+ALPHABET = frozenset("-+")  # path steps right/up; threshold codes' isolated/dominating vertices
 
 
 def conjugate(seq) -> tuple[int, ...]:
@@ -81,80 +87,47 @@ def packed_pair(b, r: int, s: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class BorderPath:
-    """Monotone staircase from (0,0) to the opposite rectangle corner.
+    """Monotone staircase from (0, 0), one character per unit step: '-' a step
+    right, '+' a step up (the alphabet of ``_lattice_max`` walks).  A path in
+    the r x s rectangle has s steps right and r steps up."""
 
-    ``points`` are the polyline vertices with collinear runs merged, so the
-    number of turns is len(points) - 2.  Coordinates are ints.
-    """
-
-    points: tuple[tuple[int, int], ...]
-    orientation: str  # 'starts-right' | 'starts-up'
+    steps: str
 
     def __post_init__(self):
-        pts = self.points
-        if not pts or pts[0] != (0, 0):
-            raise ValueError("path must start at (0, 0)")
-        if self.orientation not in ("starts-right", "starts-up"):
-            raise ValueError("orientation must be 'starts-right' or 'starts-up'")
-        prev_axis = None
-        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-            if x1 < x0 or y1 < y0:
-                raise ValueError("path must be non-decreasing")
-            horizontal = y1 == y0
-            vertical = x1 == x0
-            if horizontal == vertical:  # both (zero-length) or neither (diagonal)
-                raise ValueError("segments must be horizontal or vertical")
-            axis = "h" if horizontal else "v"
-            if axis == prev_axis:
-                raise ValueError("consecutive segments must alternate direction")
-            prev_axis = axis
+        if not ALPHABET.issuperset(self.steps):
+            raise ValueError("path steps must be '-' (right) or '+' (up)")
+
+    @property
+    def points(self) -> tuple[tuple[int, int], ...]:
+        """Polyline vertices from (0, 0), collinear runs merged."""
+        pts = [(0, 0)]
+        for step, run in groupby(self.steps):
+            x, y = pts[-1]
+            k = len(list(run))
+            pts.append((x + k, y) if step == "-" else (x, y + k))
+        return tuple(pts)
 
     @property
     def turns(self) -> int:
-        return max(0, len(self.points) - 2)
+        """Direction changes along the path."""
+        return sum(1 for a, b in zip(self.steps, self.steps[1:]) if a != b)
+
+    @property
+    def orientation(self) -> str:
+        return "starts-up" if self.steps[:1] == "+" else "starts-right"
 
     @property
     def end(self) -> tuple[int, int]:
-        return self.points[-1]
-
-
-def _extend(pts: list, p) -> None:
-    if len(pts) >= 2:
-        o, q = pts[-2], pts[-1]
-        if (o[0] == q[0] == p[0]) or (o[1] == q[1] == p[1]):
-            pts[-1] = p
-            return
-    if p != pts[-1]:
-        pts.append(p)
+        return self.steps.count("-"), self.steps.count("+")
 
 
 def border_from_heights(heights, r: int) -> BorderPath:
     """Staircase for non-decreasing column heights: height[j] cells of column
     j+1 lie below the path; ends with the rise to the full height r."""
-    b = tuple(heights)
-    if any(x < 0 or x > r for x in b):
-        raise ValueError("heights must lie in [0, r]")
-    if any(b[j] > b[j + 1] for j in range(len(b) - 1)):
-        raise ValueError("heights must be non-decreasing")
-    pts: list[tuple[int, int]] = [(0, 0)]
-    h = 0
-    for j, x in enumerate(b, start=1):
-        if x > h:
-            _extend(pts, (j - 1, x))
-            h = x
-        _extend(pts, (j, h))
-    if r > h:
-        _extend(pts, (len(b), r))
-    if len(pts) == 1:
-        orientation = "starts-right"
-    else:
-        orientation = "starts-up" if pts[1][0] == 0 else "starts-right"
-    return BorderPath(tuple(pts), orientation)
-
-
-def _turns(walk: str) -> int:
-    """Direction changes along a step string."""
-    return sum(1 for a, b in zip(walk, walk[1:]) if a != b)
+    levels = (0, *heights, r)
+    if any(a > b for a, b in zip(levels, levels[1:])):
+        raise ValueError("heights must be non-decreasing and lie in [0, r]")
+    return BorderPath("-".join("+" * (b - a) for a, b in zip(levels, levels[1:])))
 
 
 def _walk_sums(w, walk: str, end_h, end_v) -> tuple[int, int]:
@@ -250,14 +223,8 @@ def discrete_border_max(r: int, s: int, t: int) -> tuple[BorderPath, Fraction]:
         raise ValueError(f"path enumeration is capped at r + s <= {MAX_RECTANGLE}, got {r + s}")
     w = [t * x ** (t - 1) for x in range(max(r, s) + 1)]
     best, hits = _lattice_max(w, s, r, r + s, [r**t] * (r + 1), [s**t] * (s + 1))
-    heights = []
-    y = 0
-    for step in min(hits, key=_turns):  # min keeps the first of the fewest turns
-        if step == "-":
-            heights.append(y)
-        else:
-            y += 1
-    return border_from_heights(heights, r), Fraction(best, factorial(t) ** 2)
+    # min keeps the first of the fewest turns
+    return min(map(BorderPath, hits), key=attrgetter("turns")), Fraction(best, factorial(t) ** 2)
 
 
 def one_turn_value(t: int, q: float) -> float:

@@ -21,9 +21,7 @@ from dataclasses import dataclass
 from math import ceil, comb
 
 from .graphs import Graph, iter_bits
-from .packing import leading_term_bound
-
-_ALPHABET = frozenset("+-")
+from .packing import ALPHABET, leading_term_bound
 
 
 @dataclass(frozen=True)
@@ -33,7 +31,7 @@ class ThresholdCode:
     symbols: str
 
     def __post_init__(self):
-        if not _ALPHABET.issuperset(self.symbols):
+        if not ALPHABET.issuperset(self.symbols):
             raise ValueError("code symbols must be '+' or '-'")
 
     @classmethod

@@ -13,7 +13,7 @@ from math import comb, factorial, prod
 
 from .compression import compress, compress_to_threshold
 from .counting import clique_profile, independent_profile
-from .graphs import Graph, complement, emit_graph6
+from .graphs import MAX_VERTICES, Graph, complement, emit_graph6
 from .multicolor import (
     GraphFamily,
     count_covering_tuples,
@@ -27,8 +27,9 @@ from .multicolor import (
     tournament_blocks,
     tournament_construction,
 )
-from .oracle import _graph_from_rng, exhaustive_coloring_extremal, exhaustive_extremal, random_tournament, rng_for
-from .packing import MAX_RECTANGLE, _lattice_max, _turns, discrete_border_max
+from .oracle import _TOTAL_SCAN_MAX, _graph_from_rng, exhaustive_coloring_extremal, exhaustive_extremal
+from .oracle import random_tournament, rng_for
+from .packing import MAX_RECTANGLE, BorderPath, _lattice_max, discrete_border_max
 from .threshold import ThresholdCode, build, closed_form_counts, recognize, split_degrees
 
 MAX_COUNTEREXAMPLES = 10
@@ -51,6 +52,11 @@ class Report:
             self.counterexamples.append(artifact)
 
 
+def _check_n_max(suite: str, n_max: int, lo: int, hi: int) -> None:
+    if not lo <= n_max <= hi:
+        raise ValueError(f"--n-max: the {suite} suite needs {lo} <= n_max <= {hi}, got {n_max}")
+
+
 def _profile_pair(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return clique_profile(g).by_size, independent_profile(g).by_size
 
@@ -62,6 +68,7 @@ def _pointwise_le(lo: tuple[int, ...], hi: tuple[int, ...]) -> bool:
 def verify_compression(trials: int = 10000, n_max: int = 12, seed: int = 7) -> Report:
     """Monotonicity of every fixed-size count under one compression, and of
     the product quantities along the whole pivot trace to a threshold graph."""
+    _check_n_max("compression", n_max, 2, MAX_VERTICES)
     rep = Report("compression")
     max_pivots_seen = 0
     for trial in range(trials):
@@ -111,6 +118,7 @@ def verify_compression(trials: int = 10000, n_max: int = 12, seed: int = 7) -> R
 def verify_thresholds(trials: int = 1000, n_max: int = 16, seed: int = 11, sizes=(2, 3, 4)) -> Report:
     """Random codes: build/recognize round trip, complement-code identity,
     and closed-form size counts against the counting oracle."""
+    _check_n_max("thresholds", n_max, 1, MAX_VERTICES)
     rep = Report("thresholds")
     for trial in range(trials):
         rng = rng_for([seed, trial])
@@ -162,13 +170,12 @@ def verify_borders(t: int = 3, n_max: int = 20) -> Report:
     also confirms the value is symmetric under swapping r and s, so
     restricting to r <= s would lose nothing.
     """
-    if not 0 <= n_max <= MAX_RECTANGLE:
-        raise ValueError(f"border scan is capped at 0 <= n_max <= {MAX_RECTANGLE}, got {n_max}")
+    _check_n_max("borders", n_max, 0, MAX_RECTANGLE)
     rep = Report("borders")
     local_multi_turn = 0
     for n in range(n_max + 1):
         best_val = None
-        best_turns = None
+        turns_at_best = None
         best_at = None
         values = {}
         for r in range(n + 1):
@@ -176,14 +183,14 @@ def verify_borders(t: int = 3, n_max: int = 20) -> Report:
             values[r] = value
             if path.turns > 1:
                 local_multi_turn += 1
-            if best_val is None or value > best_val or (value == best_val and path.turns < best_turns):
-                best_val, best_turns, best_at = value, path.turns, (r, n - r)
+            if best_val is None or value > best_val or (value == best_val and path.turns < turns_at_best):
+                best_val, turns_at_best, best_at = value, path.turns, (r, n - r)
         for r in range(n + 1):
             if values[r] != values[n - r]:
                 rep.fail(f"value not symmetric between ({r},{n - r}) and ({n - r},{r}) at n={n}")
-        if best_turns > 1:
-            rep.fail(f"best path over all splits of n={n} has {best_turns} turns (at {best_at})")
-        rep.note(f"n={n}: max scaled value {best_val} at rectangle {best_at}, {best_turns} turn(s)")
+        if turns_at_best > 1:
+            rep.fail(f"best path over all splits of n={n} has {turns_at_best} turns (at {best_at})")
+        rep.note(f"n={n}: max scaled value {best_val} at rectangle {best_at}, {turns_at_best} turn(s)")
     rep.note(f"per-rectangle argmax had more than one turn in {local_multi_turn} balanced cases")
     return rep
 
@@ -198,7 +205,7 @@ def verify_multicolor(trials: int = 100, seed: int = 23) -> Report:
         n = int(rng.integers(2, 9))
         r = int(rng.integers(2, 4))
         q = int(rng.integers(0, min(3, n) + 1))
-        fam = GraphFamily.from_colors(n, r, [int(rng.integers(0, r)) for _ in range(comb(n, 2))])
+        fam = GraphFamily(n, r, [int(rng.integers(0, r)) for _ in range(comb(n, 2))])
         blob = emit_coloring(fam)
         product = product_clique_counts(fam)
 
@@ -226,7 +233,7 @@ def verify_multicolor(trials: int = 100, seed: int = 23) -> Report:
         rep.fail(f"sum {rec.value} exceeds {cap} on a 3-coloring of 4 vertices", rec.witnesses[0])
     hits = rec.total_witnesses if rec.value == cap else 0
     if hits:
-        mono = {emit_coloring(GraphFamily.from_colors(n, r, [c] * comb(n, 2))) for c in range(r)}
+        mono = {emit_coloring(GraphFamily(n, r, [c] * comb(n, 2))) for c in range(r)}
         for blob in sorted(set(rec.witnesses) - mono):
             rep.fail("sum bound attained by a non-monochromatic coloring", blob)
     if hits != r:
@@ -237,7 +244,7 @@ def verify_multicolor(trials: int = 100, seed: int = 23) -> Report:
         rng = rng_for([seed, 10_000 + trial])
         n = int(rng.integers(1, 7))
         draws = [int(rng.integers(0, 4)) for _ in range(comb(n, 2))]
-        fam = GraphFamily.from_colors(n, 3, [c - 1 if c else None for c in draws])
+        fam = GraphFamily(n, 3, [c - 1 if c else None for c in draws])
         blob = emit_coloring(fam)
         cover = count_covering_tuples(fam)
         cap = (4 * fam.r - 2) ** (fam.r * (fam.r - 1)) * n ** comb(fam.r, 2)
@@ -262,6 +269,7 @@ def verify_multicolor(trials: int = 100, seed: int = 23) -> Report:
 def verify_extremal(n_max: int = 6, shards: int = 1) -> Report:
     """Exhaustive labeled scans: the sum/product maxima, their witness sets,
     and the trivial fixed-size cap."""
+    _check_n_max("extremal", n_max, 1, _TOTAL_SCAN_MAX)
     rep = Report("extremal")
     for n in range(1, n_max + 1):
         use_shards = shards if n == n_max else 1
@@ -323,7 +331,7 @@ def threshold_code_max(n: int, t: int) -> tuple[int, bool, list[str]]:
         raise ValueError(f"size t must be in [0, {steps + 1}], got {t}")
     w, ends = _code_terms(steps, t)
     best, hits = _lattice_max(w, steps, steps, steps, ends, ends)
-    return best, any(_turns(code) <= 1 for code in hits), hits[:5]
+    return best, any(BorderPath(code).turns <= 1 for code in hits), hits[:5]
 
 
 SUITES = {

@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -205,6 +206,61 @@ def test_verify_borders_refuses_an_out_of_range_n_max_before_scanning(capsys, mo
         assert f"0 <= n_max <= 24, got {n_max}" in err
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("borders", "--seed", "99", "--trials", "5", "--shards", "7"), "--trials"),
+        (("borders", "--seed", "1"), "--seed"),
+        (("compression", "--t", "3"), "--t"),
+        (("thresholds", "--shards", "2"), "--shards"),
+        (("extremal", "--seed", "1"), "--seed"),
+        (("multicolor", "--n-max", "4"), "--n-max"),
+    ],
+    ids=["borders-three", "borders-seed", "compression-t", "thresholds-shards", "extremal-seed", "multicolor-n-max"],
+)
+def test_verify_refuses_options_its_suite_ignores(capsys, argv, option):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out) == (2, "")
+    assert f"{option} does not apply to the {argv[0]} suite" in err
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize(
+    "argv, bounds",
+    [
+        (("thresholds", "--n-max", "0"), "1 <= n_max <= 62, got 0"),
+        (("thresholds", "--n-max", "63", "--trials", "3"), "1 <= n_max <= 62, got 63"),
+        (("thresholds", "--n-max", "63", "--trials", "300"), "1 <= n_max <= 62, got 63"),
+        (("compression", "--n-max", "1"), "2 <= n_max <= 62, got 1"),
+        (("compression", "--n-max", "63"), "2 <= n_max <= 62, got 63"),
+        (("extremal", "--n-max", "0"), "1 <= n_max <= 7, got 0"),
+        (("extremal", "--n-max", "8"), "1 <= n_max <= 7, got 8"),
+    ],
+    ids=["thresholds-0", "thresholds-63-trials-3", "thresholds-63-trials-300", "compression-1", "compression-63",
+         "extremal-0", "extremal-8"],
+)
+def test_verify_suites_refuse_an_out_of_range_n_max_before_any_work(capsys, monkeypatch, argv, bounds):
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked before checking --n-max")
+
+    monkeypatch.setattr("ngbounds.verify.rng_for", no_work)
+    monkeypatch.setattr("ngbounds.verify.exhaustive_extremal", no_work)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out) == (2, "")
+    assert f"--n-max: the {argv[0]} suite needs {bounds}" in err
+    assert time.perf_counter() - start < 1
+
+
+def test_verify_suites_accept_the_ends_of_their_n_max_range(capsys):
+    for argv in (("compression", "--n-max", "2"), ("thresholds", "--n-max", "1"), ("extremal", "--n-max", "1")):
+        code, out, _ = run(capsys, "verify", *argv, *(("--trials", "20") if argv[0] != "extremal" else ()))
+        assert code == 0 and out.endswith(f"{argv[0]}: PASS\n")
+    code, out, _ = run(capsys, "verify", "thresholds", "--n-max", "62", "--trials", "20", "--seed", "5")
+    assert code == 0 and "n <= 62" in out
+
+
 def test_verify_small_randomized_suites(capsys):
     code, out, _ = run(
         capsys, "verify", "compression", "--trials", "50", "--n-max", "8", "--seed", "7"
@@ -285,6 +341,24 @@ def test_extremal_refuses_coloring_scans_past_the_work_cap(capsys, argv):
     code, out, err = run(capsys, "extremal", *argv, "--quantity", "product")
     assert (code, out) == (2, "")
     assert "past the cap" in err
+
+
+def test_count_coloring_matches_the_benchmark_reference(capsys):
+    # c01 is the dense_count workload's 62-vertex 3-coloring
+    expected = json.loads((BENCH_INPUTS / "dense_count" / "expected.json").read_text(encoding="utf-8"))
+    code, out, err = run(capsys, "count", "--coloring", str(BENCH_INPUTS / "dense_count" / "c01.txt"))
+    assert (code, out, err) == (expected["c01"]["exit"], expected["c01"]["stdout"], "")
+
+
+def test_count_coloring_refuses_a_header_past_the_color_cap(tmp_path, capsys):
+    # without the cap this header would build 10^8 graphs, tens of GB
+    path = tmp_path / "fam.txt"
+    path.write_text("3 100000000\n0 1 1\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "count", "--coloring", str(path))
+    assert (code, out) == (2, "")
+    assert "line 1:" in err and "1 <= r <= 65536, got n=3 r=100000000" in err
+    assert time.perf_counter() - start < 1
 
 
 def test_border_search_matches_the_benchmark_reference(capsys):

@@ -6,6 +6,8 @@ from ngbounds.graphs import (
     Graph6HeaderError,
     Graph6LengthError,
     Graph6SizeError,
+    edge_list,
+    edge_slot,
     mask_of,
 )
 from ngbounds.oracle import rng_for
@@ -141,3 +143,6 @@ def test_mask_helpers():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
     assert g.edge_mask() == Graph.from_edge_mask(4, g.edge_mask()).edge_mask()
     assert g.degree(0) == 1 and g.has_edge(3, 2)
+    for n in (2, 5, 62):
+        assert [edge_slot(n, u, v) for u, v in edge_list(n)] == list(range(n * (n - 1) // 2))
+        assert all(edge_slot(n, v, u) == edge_slot(n, u, v) for u, v in edge_list(n))

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import product as iproduct
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import pytest
 
@@ -23,7 +23,7 @@ from ngbounds import (
     tournament_construction,
 )
 from ngbounds.graphs import edge_list
-from ngbounds.multicolor import ColoringFormatError
+from ngbounds.multicolor import MAX_COLORS, ColoringFormatError
 from ngbounds.oracle import random_tournament, rng_for, sample_random_coloring
 
 
@@ -32,36 +32,29 @@ def total_coloring(n, r, seed):
 
 
 def test_family_validation():
-    k2 = Graph.complete(2)
-    with pytest.raises(ValueError):
-        GraphFamily(2, (k2, k2))  # shared edge
-    with pytest.raises(ValueError):
-        GraphFamily(2, ())
-    with pytest.raises(ValueError):
-        GraphFamily(3, (k2,))  # wrong vertex count
-    fam = GraphFamily(2, (k2, Graph.empty(2)))
+    with pytest.raises(ValueError, match=r"color count must be in \[1, 65536\], got 0"):
+        GraphFamily(2, 0, [None])
+    with pytest.raises(ValueError, match=r"color count must be in \[1, 65536\], got 65537"):
+        GraphFamily(2, MAX_COLORS + 1, [0])
+    for n in (-1, 63):
+        with pytest.raises(ValueError, match=rf"vertex count must be in \[0, 62\], got {n}"):
+            GraphFamily(n, 1, [])
+    fam = GraphFamily(2, 2, [0])
     assert fam.r == 2 and fam.covers_all_edges
-    assert fam.color_of(0, 1) == 0
-
-
-def test_family_names_the_first_overlapping_pair():
-    n = 4
-    members = (
-        Graph.from_edges(n, [(0, 1)]),
-        Graph.from_edges(n, [(2, 3)]),
-        Graph.from_edges(n, [(2, 3)]),
-        Graph.from_edges(n, [(0, 1)]),
-    )
-    # the running union meets (1, 2) first; the error still names the smallest pair (0, 3)
-    with pytest.raises(ValueError, match=r"members 0 and 3 share an edge"):
-        GraphFamily(n, members)
-    with pytest.raises(ValueError, match=r"members 1 and 2 share an edge"):
-        GraphFamily(n, members[:3])
+    assert fam.color_of(0, 1) == fam.color_of(1, 0) == 0
+    assert fam.members == (Graph.complete(2), Graph.empty(2))
+    assert GraphFamily(2, 2, (0,)) == fam and hash(GraphFamily(2, 2, [0])) == hash(fam)
+    # members are built on first use, once; writing a family out builds none
+    lazy = GraphFamily(62, 1, [0] * comb(62, 2))
+    assert emit_coloring(lazy).startswith("62 1\n0 1 1\n") and "members" not in vars(lazy)
+    assert lazy.members is lazy.members and lazy.members[0] == Graph.complete(62)
 
 
 def test_covers_all_edges_flag():
     n = 4
-    partial = GraphFamily(n, (Graph.from_edges(n, [(0, 1)]), Graph.from_edges(n, [(2, 3)])))
+    # pairs (0, 1) and (2, 3) are slots 0 and 5 of edge_list(4)
+    partial = GraphFamily(n, 2, [0, None, None, None, None, 1])
+    assert partial.members == (Graph.from_edges(n, [(0, 1)]), Graph.from_edges(n, [(2, 3)]))
     assert not partial.covers_all_edges
     assert partial.color_of(0, 2) is None
     fam = total_coloring(5, 3, seed=2)
@@ -72,8 +65,8 @@ def test_coloring_text_round_trip():
     for seed in range(20):
         fam = sample_random_coloring(6, 3, seed, partial=bool(seed % 2))
         again = parse_coloring(emit_coloring(fam))
-        assert again.n == fam.n and again.r == fam.r
-        assert all(a == b for a, b in zip(again.members, fam.members))
+        assert (again.n, again.r, again.colors) == (fam.n, fam.r, fam.colors)
+        assert again.members == fam.members
 
 
 def test_from_colors_round_trip():
@@ -81,13 +74,15 @@ def test_from_colors_round_trip():
         rng = rng_for([5, seed])
         n, r = int(rng.integers(0, 9)), int(rng.integers(1, 5))
         colors = [None if x == r else x for x in (int(rng.integers(0, r + 1)) for _ in edge_list(n))]
-        fam = GraphFamily.from_colors(n, r, colors)
+        fam = GraphFamily(n, r, colors)
         assert [fam.color_of(u, v) for u, v in edge_list(n)] == colors
+        by_color = [[e for e, c in zip(edge_list(n), colors) if c == i] for i in range(r)]
+        assert fam.members == tuple(Graph.from_edges(n, edges) for edges in by_color)
         assert parse_coloring(emit_coloring(fam)) == fam
 
 
 def test_from_colors_leaves_none_uncolored():
-    fam = GraphFamily.from_colors(3, 2, [1, None, 0])
+    fam = GraphFamily(3, 2, [1, None, 0])
     assert fam.members == (Graph.from_edges(3, [(1, 2)]), Graph.from_edges(3, [(0, 1)]))
     assert fam.color_of(0, 2) is None and not fam.covers_all_edges
     assert emit_coloring(fam) == "3 2\n0 1 2\n1 2 1\n"
@@ -95,13 +90,13 @@ def test_from_colors_leaves_none_uncolored():
 
 def test_from_colors_rejects_bad_entries():
     with pytest.raises(ValueError, match="color 2 of pair"):
-        GraphFamily.from_colors(3, 2, [0, 2, 1])
+        GraphFamily(3, 2, [0, 2, 1])
     with pytest.raises(ValueError, match="color -1 of pair"):
-        GraphFamily.from_colors(3, 2, [0, 1, -1])
+        GraphFamily(3, 2, [0, 1, -1])
     with pytest.raises(ValueError, match="expected 3 slot colors"):
-        GraphFamily.from_colors(3, 2, [0, 1])
+        GraphFamily(3, 2, [0, 1])
     with pytest.raises(ValueError, match="expected 3 slot colors"):
-        GraphFamily.from_colors(3, 2, [0, 1, 0, 1])
+        GraphFamily(3, 2, [0, 1, 0, 1])
 
 
 def test_coloring_parse_errors_carry_line_numbers():
@@ -118,6 +113,11 @@ def test_coloring_parse_errors_carry_line_numbers():
         parse_coloring("3 2\n0 1 5\n")
     with pytest.raises(ColoringFormatError):
         parse_coloring("3 2\n1 1 1\n")
+    for header in ("3 0", "3 65537", "63 2"):
+        with pytest.raises(ColoringFormatError) as err:
+            parse_coloring(f"# comment\n{header}\n0 1 1\n")
+        assert err.value.line == 2 and "1 <= r <= 65536" in str(err.value)
+    assert parse_coloring(f"2 {MAX_COLORS}\n0 1 {MAX_COLORS}\n").color_of(0, 1) == MAX_COLORS - 1
     with pytest.raises(ColoringFormatError):
         parse_coloring("3\n")
     with pytest.raises(ColoringFormatError) as err:
@@ -153,7 +153,7 @@ def test_certificate_fixture_small():
     cert = good_sequence_certificate(fam)
     assert cert.choice_counts == (8, 4, 2)
     assert cert.bound == Fraction(64, 6)
-    fam = GraphFamily(1, (Graph.empty(1), Graph.empty(1)))
+    fam = GraphFamily(1, 2, [])
     cert = good_sequence_certificate(fam)
     assert cert.vertices == () and cert.bound == 1
 
@@ -169,7 +169,7 @@ def test_certificate_length_parameter():
 
 
 def test_certificate_rejects_partial_colorings():
-    partial = GraphFamily(3, (Graph.from_edges(3, [(0, 1)]), Graph.empty(3)))
+    partial = GraphFamily(3, 2, [0, None, None])
     with pytest.raises(ValueError):
         good_sequence_certificate(partial)
 
@@ -204,25 +204,25 @@ def test_good_sequence_sandwich():
 
 def test_sum_and_product_fixtures():
     n, r = 5, 3
-    fam = GraphFamily(n, (Graph.complete(n),) + tuple(Graph.empty(n) for _ in range(r - 1)))
+    fam = GraphFamily(n, r, [0] * comb(n, 2))
     assert sum_clique_counts(fam) == (r - 1) * (n + 1) + 2**n
-    fam2 = GraphFamily(4, (Graph.complete(4), Graph.empty(4)))
+    fam2 = GraphFamily(4, 2, [0] * 6)
     assert product_clique_counts(fam2) == (4 + 1) * 2**4
-    empties = GraphFamily(3, (Graph.empty(3), Graph.empty(3)))
+    empties = GraphFamily(3, 2, [None] * 3)
     assert product_clique_counts(empties) == 16
 
 
 def test_covering_tuple_fixtures():
-    fam = GraphFamily(2, (Graph.complete(2), Graph.empty(2)))
+    fam = GraphFamily(2, 2, [0])
     assert count_covering_tuples(fam) == 5
-    fam = GraphFamily(3, (Graph.empty(3), Graph.empty(3)))
+    fam = GraphFamily(3, 2, [None] * 3)
     assert count_covering_tuples(fam) == 0
     for n in (1, 3, 5):
-        fam = GraphFamily(n, (Graph.complete(n),))
+        fam = GraphFamily(n, 1, [0] * comb(n, 2))
         assert count_covering_tuples(fam) == 1
         assert multicolor_upper_bound(n, 1) == 2**n
     with pytest.raises(ValueError):
-        count_covering_tuples(GraphFamily(9, (Graph.empty(9),)))
+        count_covering_tuples(GraphFamily(9, 1, [None] * comb(9, 2)))
 
 
 def test_covering_tuples_against_direct_enumeration():
@@ -252,7 +252,7 @@ def test_multicolor_upper_bound_fixtures():
     best = 0
     slots = edge_list(4)
     for colors in iproduct(range(3), repeat=len(slots)):
-        fam = GraphFamily.from_colors(4, 3, colors)
+        fam = GraphFamily(4, 3, colors)
         best = max(best, product_clique_counts(fam))
     assert best <= multicolor_upper_bound(4, 3)
 

@@ -139,7 +139,7 @@ def test_coloring_extremal_product():
     mixed = exhaustive_coloring_extremal(3, 2, "product", "min")
     assert mixed.value == 30
     want = [[(code >> slot) & 1 for slot in range(3)] for code in range(1, 7)]
-    assert list(mixed.witnesses) == [emit_coloring(GraphFamily.from_colors(3, 2, c)) for c in want]
+    assert list(mixed.witnesses) == [emit_coloring(GraphFamily(3, 2, c)) for c in want]
 
 
 def _loop_coloring_records(n, r):
@@ -150,7 +150,7 @@ def _loop_coloring_records(n, r):
     # code order: slot 0 is the least significant base-r digit, so reverse
     # product's tuples, whose last entry varies fastest
     for digits in product(range(r), repeat=math.comb(n, 2)):
-        fam = GraphFamily.from_colors(n, r, digits[::-1])
+        fam = GraphFamily(n, r, digits[::-1])
         counts = [count_cliques(g) for g in fam.members]
         vals = {"sum": sum(counts), "product": math.prod(counts)}
         for (quantity, direction), rec in state.items():
@@ -191,7 +191,7 @@ def test_coloring_scan_one_color_at_62_vertices():
     for quantity in ("sum", "product"):
         rec = exhaustive_coloring_extremal(62, 1, quantity, "min")
         assert rec.value == 2**62
-        assert rec.witnesses == (emit_coloring(GraphFamily.from_colors(62, 1, [0] * math.comb(62, 2))),)
+        assert rec.witnesses == (emit_coloring(GraphFamily(62, 1, [0] * math.comb(62, 2))),)
         assert rec.total_witnesses == 1
 
 

@@ -1,5 +1,6 @@
 import time
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial, isclose, sqrt
 
 import pytest
@@ -90,6 +91,7 @@ def test_packed_pair_area_bookkeeping():
 
 def test_border_path_shape():
     path = border_from_heights((0, 1, 1, 3), 3)
+    assert path.steps == "-+--++-" and path.end == (4, 3)
     assert path.points == ((0, 0), (1, 0), (1, 1), (3, 1), (3, 3), (4, 3))
     assert path.turns == 4
     assert path.orientation == "starts-right"
@@ -104,13 +106,28 @@ def test_border_path_shape():
     assert flat.turns == 0
 
 
-def test_border_path_validation():
-    with pytest.raises(ValueError):
-        BorderPath(((0, 1),), "starts-up")  # must start at the origin
-    with pytest.raises(ValueError):
-        BorderPath(((0, 0), (1, 1)), "starts-up")  # diagonal segment
-    with pytest.raises(ValueError):
-        BorderPath(((0, 0), (1, 0), (2, 0)), "starts-right")  # unmerged collinear run
+def test_border_path_every_step_string():
+    # each path of up to 10 steps: the derived corners, turns and heights agree with its steps
+    for length in range(11):
+        for walk in product("-+", repeat=length):
+            steps = "".join(walk)
+            path = BorderPath(steps)
+            pts = path.points
+            assert pts[0] == (0, 0) and pts[-1] == path.end
+            assert path.turns == max(0, len(pts) - 2)
+            segments = [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(pts, pts[1:])]
+            assert all(min(dx, dy) == 0 < max(dx, dy) for dx, dy in segments)  # axis-parallel, non-empty
+            assert all((a[0] == 0) != (b[0] == 0) for a, b in zip(segments, segments[1:]))  # axes alternate
+            assert "".join("-" * dx + "+" * dy for dx, dy in segments) == steps
+            assert path.orientation == ("starts-up" if steps[:1] == "+" else "starts-right")
+            heights = [steps[:i].count("+") for i, step in enumerate(steps) if step == "-"]
+            assert border_from_heights(heights, path.end[1]) == path
+    for bad in ("x", "-+x", "+ -"):
+        with pytest.raises(ValueError, match="path steps"):
+            BorderPath(bad)
+    for heights, r in (((2, 1), 3), ((0, 4), 3), ((-1,), 3), ((), -1)):
+        with pytest.raises(ValueError, match="heights must be non-decreasing"):
+            border_from_heights(heights, r)
 
 
 def test_discrete_border_max_fixtures():
