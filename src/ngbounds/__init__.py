@@ -2,9 +2,9 @@
 
 Exact counting of cliques and independent sets (all sizes), the
 compression operator driving any graph to a threshold graph without
-shrinking the product quantities, threshold codes and their closed-form
-counts, packed degree sequences and the lattice-path/border analysis behind
-the fixed-size product bound, multicolor families with good-sequence
+shrinking the product quantities, threshold graphs stored as lattice walks
+with their closed-form counts, the lattice-path/border analysis behind the
+fixed-size product bound, multicolor families with good-sequence
 certificates and the tournament construction, plus brute-force oracles and
 seeded samplers to verify all of it at desk scale.
 """
@@ -69,22 +69,15 @@ from .oracle import (
 from .packing import (
     BorderPath,
     LeadingTermBound,
-    border_from_heights,
-    conjugate,
     discrete_border_max,
     leading_term_bound,
-    majorizes,
     one_turn_value,
-    packed_pair,
 )
 from .threshold import (
-    SplitDegrees,
-    ThresholdCode,
     build,
     closed_form_counts,
     extremal_one_turn_codes,
     recognize,
-    split_degrees,
 )
 
 __version__ = "0.1.0"

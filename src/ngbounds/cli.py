@@ -56,14 +56,18 @@ def cmd_count(args) -> int:
             raise ValueError("--t applies to graphs, not to --coloring")
         with open(args.coloring, encoding="ascii") as fh:
             fam = parse_coloring(fh.read())
+        counts = [count_cliques(g) for g in fam.members]
+        product = prod(counts)
+        limit = sys.get_int_max_str_digits()
+        if limit and product >= 10**limit:
+            raise ValueError(f"the coloring's product has more than {limit} digits")
         print(f"n {fam.n}")
         print(f"r {fam.r}")
         print(f"total {'yes' if fam.covers_all_edges else 'no'}")
-        counts = [count_cliques(g) for g in fam.members]
         for idx, c in enumerate(counts, start=1):
             print(f"k(G_{idx}) {c}")
         print(f"sum {sum(counts)}")
-        print(f"product {prod(counts)}")
+        print(f"product {product}")
         return 0
     g = _load_graph(args)
     for t in sizes:
@@ -91,7 +95,7 @@ def cmd_compress(args) -> int:
         print(f"compress {x} -> {y}")
     code = recognize(final)
     print(f"pivots {len(pivots)}")
-    print(f"code {code.display() if code else '(none)'}")
+    print(f"code {code.code if code else '(none)'}")
     print(f"pi {pi(g)} -> {pi(final)}")
     return 0
 
@@ -122,8 +126,8 @@ def cmd_bounds(args) -> int:
     print(f"pi_upper(n={n}) {(n + 1) * 2 ** n}")
     if n >= 1:
         joined, disjoint = extremal_one_turn_codes(n, t)
-        print(f"code_joined {joined.display()}")
-        print(f"code_disjoint {disjoint.display()}")
+        print(f"code_joined {joined.code}")
+        print(f"code_disjoint {disjoint.code}")
     if r is not None:
         print(f"certificate_bound(r={r}) {certificate_lower_bound(n, r)}")
         print(f"certificate_counts {','.join(map(str, pigeonhole_sequence(n, r, m)))}")

@@ -1,11 +1,11 @@
-"""Packed degree sequences, border paths, and the fixed-size product bound.
+"""Border paths, the walks of threshold graphs, and the fixed-size product bound.
 
 A threshold graph's two degree sequences across its clique/independent
 split pack into an r x s rectangle; the boundary between the two Ferrers
-diagrams is a monotone lattice path.  A ``BorderPath`` is stored as its step
-string, '-' a step right and '+' a step up (``ALPHABET``, which threshold
-codes share), the strings the pruned walk ``_lattice_max`` yields; its
-corners and turns are derived from the steps.  ``discrete_border_max``
+diagrams is a monotone lattice path, and the one stored form of the graph.
+A ``BorderPath`` is its step string, '-' a step right and '+' a step up
+(``ALPHABET``), as the pruned walk ``_lattice_max`` yields it; its corners
+and turns are derived from the steps.  ``discrete_border_max``
 maximizes the scaled size-t count product over all such paths exactly
 (rational arithmetic).  In the continuous relaxation the rectangle becomes
 [0,q] x [0,p] with p + q = 1, and the best border turns once; its value
@@ -17,7 +17,7 @@ The punchline is the leading-term bound: the best split fraction is
 
 the root in (0, 1) of 2(t-1)q^2 - (t-2)q - 1, and the product of size-t clique and independent-set counts of any n-vertex
 graph is at most (n^t/t!)^2 * one_turn_value(t, split) up to lower-order
-terms, attained by one-turn threshold codes.
+terms, attained by one-turn threshold graphs.
 """
 
 from __future__ import annotations
@@ -29,67 +29,16 @@ from math import factorial, prod, sqrt
 from operator import attrgetter
 
 MAX_RECTANGLE = 24  # border search cap on r + s
-ALPHABET = frozenset("-+")  # path steps right/up; threshold codes' isolated/dominating vertices
-
-
-def conjugate(seq) -> tuple[int, ...]:
-    """Ferrers transpose: entry j (1-indexed) counts values >= j.
-
-    Order-free; result has length max(seq) and is non-increasing.
-    """
-    vals = list(seq)
-    if any(x < 0 for x in vals):
-        raise ValueError("entries must be non-negative")
-    top = max(vals, default=0)
-    return tuple(sum(1 for x in vals if x >= j) for j in range(1, top + 1))
-
-
-def _require_non_increasing(seq, name):
-    if any(seq[i] < seq[i + 1] for i in range(len(seq) - 1)):
-        raise ValueError(f"{name} must be non-increasing")
-
-
-def majorizes(a, c) -> bool:
-    """True iff ``a`` is dominated by ``c``: every prefix sum of a is at most
-    the corresponding prefix sum of c, padding the shorter sequence with 0s.
-    Both inputs must be non-increasing."""
-    a = tuple(a)
-    c = tuple(c)
-    _require_non_increasing(a, "a")
-    _require_non_increasing(c, "c")
-    pa = pc = 0
-    for k in range(max(len(a), len(c))):
-        pa += a[k] if k < len(a) else 0
-        pc += c[k] if k < len(c) else 0
-        if pa > pc:
-            return False
-    return True
-
-
-def packed_pair(b, r: int, s: int) -> tuple[int, ...]:
-    """The clique-side sequence packed against ``b`` in an r x s rectangle.
-
-    ``b`` is the non-decreasing independent-side degree sequence (length s,
-    entries in [0, r]); the result is the conjugate of (r - b_j), zero padded
-    to length r.  This is the extremal sequence allowed by the Gale-Ryser
-    theorem once ``b`` is fixed.
-    """
-    b = tuple(b)
-    if len(b) != s:
-        raise ValueError(f"expected {s} entries, got {len(b)}")
-    if any(x < 0 or x > r for x in b):
-        raise ValueError("entries must lie in [0, r]")
-    if any(b[j] > b[j + 1] for j in range(len(b) - 1)):
-        raise ValueError("b must be non-decreasing")
-    a = conjugate(r - x for x in b)
-    return a + (0,) * (r - len(a))
+ALPHABET = frozenset("-+")  # path steps right/up: a threshold graph's independent/clique vertices
+_SWAP = str.maketrans("-+", "+-")
 
 
 @dataclass(frozen=True)
 class BorderPath:
     """Monotone staircase from (0, 0), one character per unit step: '-' a step
     right, '+' a step up (the alphabet of ``_lattice_max`` walks).  A path in
-    the r x s rectangle has s steps right and r steps up."""
+    the r x s rectangle has s steps right and r steps up.  As a threshold
+    graph's walk, see ``threshold``."""
 
     steps: str
 
@@ -120,14 +69,14 @@ class BorderPath:
     def end(self) -> tuple[int, int]:
         return self.steps.count("-"), self.steps.count("+")
 
+    @property
+    def code(self) -> str:
+        """The threshold graph's display code: every step but the seed's."""
+        return self.steps[:-1]
 
-def border_from_heights(heights, r: int) -> BorderPath:
-    """Staircase for non-decreasing column heights: height[j] cells of column
-    j+1 lie below the path; ends with the rise to the full height r."""
-    levels = (0, *heights, r)
-    if any(a > b for a, b in zip(levels, levels[1:])):
-        raise ValueError("heights must be non-decreasing and lie in [0, r]")
-    return BorderPath("-".join("+" * (b - a) for a, b in zip(levels, levels[1:])))
+    def complemented(self) -> "BorderPath":
+        """The walk of the complement graph: '+' and '-' swapped."""
+        return BorderPath(self.steps.translate(_SWAP))
 
 
 def _walk_sums(w, walk: str, end_h, end_v) -> tuple[int, int]:

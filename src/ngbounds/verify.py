@@ -30,7 +30,7 @@ from .multicolor import (
 from .oracle import _TOTAL_SCAN_MAX, _graph_from_rng, exhaustive_coloring_extremal, exhaustive_extremal
 from .oracle import random_tournament, rng_for
 from .packing import MAX_RECTANGLE, BorderPath, _lattice_max, discrete_border_max
-from .threshold import ThresholdCode, build, closed_form_counts, recognize, split_degrees
+from .threshold import build, closed_form_counts, recognize
 
 MAX_COUNTEREXAMPLES = 10
 
@@ -117,15 +117,16 @@ def verify_compression(trials: int = 10000, n_max: int = 12, seed: int = 7) -> R
 
 def verify_thresholds(trials: int = 1000, n_max: int = 16, seed: int = 11, sizes=(2, 3, 4)) -> Report:
     """Random codes: build/recognize round trip, complement-code identity,
-    and closed-form size counts against the counting oracle."""
+    and the closed-form size counts of the recognized walk against the
+    counting oracle."""
     _check_n_max("thresholds", n_max, 1, MAX_VERTICES)
     rep = Report("thresholds")
     for trial in range(trials):
         rng = rng_for([seed, trial])
         n = int(rng.integers(1, n_max + 1))
-        symbols = "".join("+" if rng.integers(0, 2) else "-" for _ in range(n - 1))
-        code = ThresholdCode(symbols)
-        g = build(code)
+        symbols = "".join("+" if rng.integers(0, 2) else "-" for _ in range(n - 1))  # construction order
+        walk = BorderPath(symbols[::-1] + (symbols[:1] or "-"))
+        g = build(walk)
         g6 = emit_graph6(g)
 
         rec = recognize(g)
@@ -135,14 +136,13 @@ def verify_thresholds(trials: int = 1000, n_max: int = 16, seed: int = 11, sizes
         if sorted(g.degree(v) for v in range(n)) != sorted(build(rec).degree(v) for v in range(n)):
             rep.fail(f"recognized code rebuilds a non-isomorphic graph for {g6}", g6)
             continue
-        if build(code.complemented()) != complement(g):
+        if build(walk.complemented()) != complement(g):
             rep.fail(f"complemented code does not build the complement of {g6}", g6)
             continue
 
-        sd = split_degrees(g)
         kp, ip = _profile_pair(g)
         for t in sizes:
-            s_k, s_i = closed_form_counts(sd, t)
+            s_k, s_i = closed_form_counts(rec, t)
             want_k = kp[t] if t < len(kp) else 0
             want_i = ip[t] if t < len(ip) else 0
             if (s_k, s_i) != (want_k, want_i):
@@ -270,6 +270,8 @@ def verify_extremal(n_max: int = 6, shards: int = 1) -> Report:
     """Exhaustive labeled scans: the sum/product maxima, their witness sets,
     and the trivial fixed-size cap."""
     _check_n_max("extremal", n_max, 1, _TOTAL_SCAN_MAX)
+    if shards < 1:
+        raise ValueError(f"--shards: the extremal suite needs shards >= 1, got {shards}")
     rep = Report("extremal")
     for n in range(1, n_max + 1):
         use_shards = shards if n == n_max else 1
@@ -310,16 +312,13 @@ def threshold_code_max(n: int, t: int) -> tuple[int, bool, list[str]]:
     """Max of the size-t product over all 2^(n-1) threshold codes.
 
     Returns (value, attained by a code with at most one sign change,
-    display strings of the first five maximizers in increasing code order,
-    the bits with symbols[i] = '+' read as a binary number).
+    the first five maximizing codes in lexicographic order, '-' before '+').
 
-    Read from the last-added vertex back, a code is a lattice walk: a '-'
-    after a '+'s adds C(a, t-1) to the clique count K_t and a '+' after b
-    '-'s adds C(b, t-1) to the independent count I_t.  The seed repeats
-    symbols[0], and with the end point's C(|clique side|, t) and
-    C(|independent side|, t) it adds C(a+1, t) to K_t and C(b+1, t) to I_t
-    whichever sign it takes.  ``_lattice_max`` maximizes K_t * I_t over these
-    walks without building a graph.  Like ``pi_t`` on the built graph (one
+    A code is its graph's walk without the seed's step (``closed_form_counts``).
+    Whichever sign the seed takes, it and the end point add C(a+1, t) to K_t
+    and C(b+1, t) to I_t at the code's end point (b, a), so ``_lattice_max``
+    maximizes K_t * I_t over the codes as (n-1)-step walks with these end
+    terms, without building a graph.  Like ``pi_t`` on the built graph (one
     vertex for n <= 1), raises for t outside [0, max(n, 1)].  The walk grows
     about 14x per 5 vertices, so, like ``discrete_border_max``, it is capped
     at ``MAX_RECTANGLE`` steps: n <= 25.

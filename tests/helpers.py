@@ -1,10 +1,11 @@
-"""Small graph builders and exact polynomial certificates shared across test modules."""
+"""Small graph builders, walk and packing oracles, and exact polynomial
+certificates shared across test modules."""
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, factorial
 
-from ngbounds import Graph, ThresholdCode, border_from_heights, build, one_turn_value, pi_t
+from ngbounds import BorderPath, Graph, build, one_turn_value, pi_t
 from ngbounds.oracle import _graph_from_rng
 
 
@@ -31,6 +32,54 @@ def gnp_graph(n: int, p: float, rng) -> Graph:
             if hit:
                 mask |= 1 << i
     return Graph.from_edge_mask(n, mask)
+
+
+def walk(code: str) -> BorderPath:
+    """The walk of a display code: the seed's step repeats the code's last
+    symbol, '-' for the 1-vertex code, as ``recognize`` writes it."""
+    return BorderPath(code + (code[-1:] or "-"))
+
+
+def walk_heights(steps: str) -> tuple[int, ...]:
+    """Height of each '-' step: the degrees of the independent side."""
+    return tuple(steps[:i].count("+") for i, step in enumerate(steps) if step == "-")
+
+
+def walk_columns(steps: str) -> tuple[int, ...]:
+    """Column of each '+' step: the non-neighbour counts of the clique side."""
+    return tuple(steps[:i].count("-") for i, step in enumerate(steps) if step == "+")
+
+
+# Packed degree sequences: the oracle for the packing identity of a walk's
+# two sides and for the brute-force border search.
+
+
+def conjugate(seq) -> tuple[int, ...]:
+    """Ferrers transpose: entry j (1-indexed) counts values >= j; order-free, non-increasing."""
+    vals = list(seq)
+    if any(x < 0 for x in vals):
+        raise ValueError("entries must be non-negative")
+    return tuple(sum(1 for x in vals if x >= j) for j in range(1, max(vals, default=0) + 1))
+
+
+def packed_pair(b, r: int, s: int) -> tuple[int, ...]:
+    """The clique-side sequence packed against the non-decreasing independent-side
+    degrees ``b`` in an r x s rectangle: the conjugate of (r - b_j), zero padded
+    to length r, the extremal sequence the Gale-Ryser theorem allows once b is fixed."""
+    b = tuple(b)
+    if len(b) != s or any(x < 0 or x > r for x in b) or any(x > y for x, y in zip(b, b[1:])):
+        raise ValueError(f"need {s} non-decreasing entries in [0, {r}], got {b}")
+    a = conjugate(r - x for x in b)
+    return a + (0,) * (r - len(a))
+
+
+def border_from_heights(heights, r: int) -> BorderPath:
+    """Staircase for non-decreasing column heights: height[j] cells of column
+    j+1 lie below the path; ends with the rise to the full height r."""
+    levels = (0, *heights, r)
+    if any(a > b for a, b in zip(levels, levels[1:])):
+        raise ValueError("heights must be non-decreasing and lie in [0, r]")
+    return BorderPath("-".join("+" * (b - a) for a, b in zip(levels, levels[1:])))
 
 
 # Exact certificates for the continuous border analysis.  Polynomials are
@@ -165,7 +214,7 @@ def code_max_by_enumeration(n: int, t: int):
     argmax = []
     for bits in range(1 << max(0, n - 1)):
         symbols = "".join("+" if (bits >> i) & 1 else "-" for i in range(n - 1))
-        val = pi_t(build(ThresholdCode(symbols)), t)
+        val = pi_t(build(walk(symbols[::-1])), t)
         if val > best:
             best, argmax, one_turn = val, [], False
         if val == best:

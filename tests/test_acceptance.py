@@ -27,14 +27,12 @@ from ngbounds import (
     Graph,
     GraphFamily,
     Tournament,
-    conjugate,
     count_good_sequences,
     emit_graph6,
     exhaustive_coloring_extremal,
     exhaustive_extremal,
     leading_term_bound,
     multicolor_upper_bound,
-    packed_pair,
     parse_coloring,
     pigeonhole_sequence,
     pi_t,
@@ -46,14 +44,7 @@ from ngbounds.counting import count_cliques
 from ngbounds.graphs import edge_list
 from ngbounds.multicolor import count_covering_tuples
 from ngbounds.oracle import rng_for
-from ngbounds.threshold import (
-    SplitDegrees,
-    ThresholdCode,
-    build,
-    closed_form_counts,
-    extremal_one_turn_codes,
-    split_degrees,
-)
+from ngbounds.threshold import build, closed_form_counts, extremal_one_turn_codes
 from ngbounds.verify import (
     threshold_code_max,
     verify_borders,
@@ -62,12 +53,17 @@ from ngbounds.verify import (
 )
 
 from helpers import (
+    conjugate,
     one_turn_slope_identity,
+    packed_pair,
     poly_at,
     ratio_polynomial,
     sign_changes,
     split_polynomial,
     two_turn_grid_argmax,
+    walk,
+    walk_columns,
+    walk_heights,
 )
 
 
@@ -116,17 +112,20 @@ def test_acceptance_03_compression_monotonicity():
 
 
 def test_acceptance_04_closed_form_counts():
-    """10^3 random threshold codes, n <= 16, t in {2,3,4}: the split-degree
-    closed forms equal brute-force counts exactly."""
+    """10^3 random threshold codes, n <= 16, t in {2,3,4}: the closed-form
+    walk sums of the recognized walk equal brute-force counts exactly."""
     rep = verify_thresholds(trials=1000, n_max=16, seed=11, sizes=(2, 3, 4))
     assert _report("04 threshold-closed-forms", rep.passed, "; ".join(rep.lines)), rep.lines
 
 
 def test_acceptance_05_packing_fixture():
     """Packed-pair fixture: packed_pair((0,1,1,3), 3, 4) and conjugate of
-    (3,2,2,0) both equal (3,3,1)."""
+    (3,2,2,0) both equal (3,3,1), and so do the '+' columns, seed side
+    first, of the walk -+--++-, whose '-' heights are (0,1,1,3)."""
     ok = packed_pair((0, 1, 1, 3), 3, 4) == (3, 3, 1)
     ok &= conjugate((3, 2, 2, 0)) == (3, 3, 1)
+    ok &= walk_heights("-+--++-") == (0, 1, 1, 3)
+    ok &= walk_columns("-+--++-")[::-1] == (3, 3, 1)
     assert _report("05 packing-fixture", ok)
 
 
@@ -187,7 +186,7 @@ def _one_turn_code_max(n: int, t: int) -> int:
     best = 0
     for k in range(n):
         for display in ("+" * (n - 1 - k) + "-" * k, "-" * (n - 1 - k) + "+" * k):
-            best = max(best, pi_t(build(ThresholdCode.from_display(display)), t))
+            best = max(best, pi_t(build(walk(display)), t))
     return best
 
 
@@ -212,15 +211,6 @@ def test_acceptance_08a_tightness_chain_desk_scale():
     assert _report("08a tightness-chain", ok)
 
 
-def _complete_join_split(code: ThresholdCode) -> SplitDegrees:
-    """Split degrees of a one-turn complete-join code, display '+'*r + '-'*(s-1),
-    read off the code itself so that sizes past the graph cap can be scored."""
-    r = code.symbols.count("+")
-    s = code.n - r
-    assert code.display() == "+" * r + "-" * (s - 1)
-    return SplitDegrees(r, s, (0,) * r, (r,) * s)
-
-
 def test_acceptance_08b_leading_term_at_n60():
     """The one-turn code at the rounded optimal split reaches the leading term
     (n^3/6)^2 * value up to its first-order correction: at n = 60 and along
@@ -243,17 +233,14 @@ def test_acceptance_08b_leading_term_at_n60():
 
     n = 60
     joined, _ = extremal_one_turn_codes(n, t)
-    g = build(joined)
-    sd = split_degrees(g)
-    assert sd == _complete_join_split(joined)
-    s_k, s_i = closed_form_counts(sd, t)
+    s_k, s_i = closed_form_counts(joined, t)
     value = s_k * s_i
     # closed form cross-checked against the counting engine
-    assert value == pi_t(g, t)
+    assert value == pi_t(build(joined), t)
 
     ratios = {}
     for m in (60, 120, 240, 480, 960):
-        s_k, s_i = closed_form_counts(_complete_join_split(extremal_one_turn_codes(m, t)[0]), t)
+        s_k, s_i = closed_form_counts(extremal_one_turn_codes(m, t)[0], t)
         ratios[m] = s_k * s_i / lead.bound(m)
     ok = all(1 - c3 / m <= ratio < 1 for m, ratio in ratios.items())
     ladder = list(ratios.values())

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import sys
 import time
@@ -6,14 +7,43 @@ from pathlib import Path
 
 import pytest
 
+import ngbounds.verify
 from ngbounds import Graph, emit_graph6, multicolor_upper_bound
 from ngbounds.cli import main
-from ngbounds.verify import SUITES, Report, threshold_code_max
+from ngbounds.verify import SUITES, Report
 
 from helpers import cycle_graph
 
-BENCH_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
-TRACE_INPUTS = BENCH_INPUTS / "compress_trace"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+BENCH_INPUTS = PERFBENCH / "inputs"
+
+
+def _bench_workloads():
+    """perfbench's operation table, imported without writing bytecode under perfbench/."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+def _bench_references():
+    """(op, committed reference) for every benchmark operation with a committed output."""
+    bench = _bench_workloads()
+    refs = []
+    for workload in bench.WORKLOADS:
+        expected = json.loads((BENCH_INPUTS / workload / bench.EXPECTED).read_text(encoding="utf-8"))
+        for op in bench.ops(workload, bench.DEFAULT_SEED, BENCH_INPUTS / workload):
+            if op.id in expected and op.id != "e01":  # e01 scans 2^26 masks, about 2.6 s
+                refs.append((op, expected[op.id]))
+    return refs
+
+
+BENCH_REFERENCES = _bench_references()
 
 
 def run(capsys, *argv):
@@ -95,10 +125,30 @@ def test_compress_command(tmp_path, capsys):
     assert code2 == 0 and out2 == out
 
 
-def test_compress_command_at_62_vertices(capsys):
-    expected = json.loads((TRACE_INPUTS / "expected.json").read_text(encoding="utf-8"))["g01"]
-    code, out, _ = run(capsys, "compress", "--graph6-file", str(TRACE_INPUTS / "g01.g6"))
-    assert (code, out) == (expected["exit"], expected["stdout"])
+@pytest.mark.parametrize("op, expected", BENCH_REFERENCES, ids=[op.id for op, _ in BENCH_REFERENCES])
+def test_benchmark_operation_replays_its_committed_reference(capsys, op, expected):
+    if op.call:  # a direct call: its repr is the reference, as perfbench prints it
+        name, args = op.call
+        result = (0, repr(getattr(ngbounds.verify, name)(*args)) + "\n", "")
+    else:
+        result = run(capsys, *op.argv)
+    assert result == (expected["exit"], expected["stdout"], "")
+
+
+@pytest.mark.parametrize(
+    "argv, stdout",
+    [
+        (("compress", "--graph6", "?"), "pivots 0\ncode (none)\npi 1 -> 1\n"),
+        (("compress", "--graph6", "@"), "pivots 0\ncode \npi 4 -> 4\n"),
+        (("bounds", "--n", "1"), "split_3 0.640388203202\npeak_3 0.077460543678\nleading_bound(n=1) 2.151682e-03\n"
+         "pi_upper(n=1) 4\ncode_joined \ncode_disjoint \n"),
+        (("bounds", "--n", "2", "--t", "4"), "split_4 0.607625218511\npeak_4 0.023245461350\n"
+         "leading_bound(n=2) 1.033132e-02\npi_upper(n=2) 12\ncode_joined -\ncode_disjoint +\n"),
+    ],
+    ids=["compress-0-vertices", "compress-1-vertex", "bounds-n1", "bounds-n2-t4"],
+)
+def test_code_lines_at_the_smallest_sizes(capsys, argv, stdout):
+    assert run(capsys, *argv) == (0, stdout, "")
 
 
 def test_bounds_command(capsys):
@@ -253,6 +303,18 @@ def test_verify_suites_refuse_an_out_of_range_n_max_before_any_work(capsys, monk
     assert time.perf_counter() - start < 1
 
 
+def test_verify_extremal_refuses_zero_shards_before_any_scan(capsys, monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned before checking --shards")
+
+    monkeypatch.setattr("ngbounds.verify.exhaustive_extremal", no_scan)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "extremal", "--n-max", "7", "--shards", "0")
+    assert (code, out) == (2, "")
+    assert "needs shards >= 1, got 0" in err
+    assert time.perf_counter() - start < 0.5
+
+
 def test_verify_suites_accept_the_ends_of_their_n_max_range(capsys):
     for argv in (("compression", "--n-max", "2"), ("thresholds", "--n-max", "1"), ("extremal", "--n-max", "1")):
         code, out, _ = run(capsys, "verify", *argv, *(("--trials", "20") if argv[0] != "extremal" else ()))
@@ -321,12 +383,6 @@ def test_extremal_command(capsys):
     assert code == 2 and "capped" in err
 
 
-def test_extremal_coloring_scan_matches_the_benchmark_reference(capsys):
-    expected = json.loads((BENCH_INPUTS / "exhaustive_scan" / "expected.json").read_text(encoding="utf-8"))["e02"]
-    code, out, _ = run(capsys, "extremal", "--n", "6", "--coloring-r", "2", "--quantity", "product")
-    assert (code, out) == (expected["exit"], expected["stdout"])
-
-
 def test_extremal_refuses_an_unprintable_coloring_value_before_printing(capsys):
     # the product 2^20000 has 6,021 digits, past Python's int-to-str limit
     code, out, err = run(capsys, "extremal", "--n", "1", "--coloring-r", "20000", "--quantity", "product")
@@ -343,11 +399,15 @@ def test_extremal_refuses_coloring_scans_past_the_work_cap(capsys, argv):
     assert "past the cap" in err
 
 
-def test_count_coloring_matches_the_benchmark_reference(capsys):
-    # c01 is the dense_count workload's 62-vertex 3-coloring
-    expected = json.loads((BENCH_INPUTS / "dense_count" / "expected.json").read_text(encoding="utf-8"))
-    code, out, err = run(capsys, "count", "--coloring", str(BENCH_INPUTS / "dense_count" / "c01.txt"))
-    assert (code, out, err) == (expected["c01"]["exit"], expected["c01"]["stdout"], "")
+def test_count_coloring_refuses_an_unprintable_product_before_printing(tmp_path, capsys):
+    # 9,099 two-vertex members without an edge and one with it: the product 4 * 3^9099 has 4,342 digits
+    path = tmp_path / "fam.txt"
+    path.write_text("2 9100\n0 1 1\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "count", "--coloring", str(path))
+    assert (code, out) == (2, "")
+    assert "product has more than" in err
+    assert time.perf_counter() - start < 1
 
 
 def test_count_coloring_refuses_a_header_past_the_color_cap(tmp_path, capsys):
@@ -359,13 +419,6 @@ def test_count_coloring_refuses_a_header_past_the_color_cap(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert "line 1:" in err and "1 <= r <= 65536, got n=3 r=100000000" in err
     assert time.perf_counter() - start < 1
-
-
-def test_border_search_matches_the_benchmark_reference(capsys):
-    expected = json.loads((BENCH_INPUTS / "border_search" / "expected.json").read_text(encoding="utf-8"))
-    code, out, _ = run(capsys, "verify", "borders", "--t", "3", "--n-max", "19")
-    assert (code, out) == (expected["b01"]["exit"], expected["b01"]["stdout"])
-    assert repr(threshold_code_max(14, 3)) + "\n" == expected["b02"]["stdout"]
 
 
 @pytest.mark.parametrize(

@@ -18,9 +18,9 @@ from ngbounds import (
 )
 from ngbounds.compression import _next_pivot
 from ngbounds.oracle import rng_for
-from ngbounds.threshold import ThresholdCode, build, recognize
+from ngbounds.threshold import build, recognize
 
-from helpers import cycle_graph, gnp_graph, random_graph
+from helpers import cycle_graph, gnp_graph, random_graph, walk
 
 TRACE_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / "compress_trace"
 
@@ -145,8 +145,7 @@ def test_compress_to_threshold_fixed_point_on_threshold_graphs():
     for trial in range(100):
         rng = rng_for([43, trial])
         n = int(rng.integers(1, 13))
-        code = ThresholdCode("".join("+" if rng.integers(0, 2) else "-" for _ in range(n - 1)))
-        g = build(code)
+        g = build(walk("".join("+" if rng.integers(0, 2) else "-" for _ in range(n - 1))))
         out, pivots = compress_to_threshold(g)
         assert pivots == []
         assert out == g

@@ -4,7 +4,6 @@ import pytest
 
 from ngbounds import (
     Graph,
-    ThresholdCode,
     build,
     clique_profile,
     complement,
@@ -17,7 +16,7 @@ from ngbounds import (
 )
 from ngbounds.oracle import rng_for
 
-from helpers import cycle_graph, gnp_graph, path_graph, random_graph
+from helpers import cycle_graph, gnp_graph, path_graph, random_graph, walk
 
 
 def test_profile_fixtures():
@@ -171,7 +170,7 @@ def test_engine_matches_subset_scan_at_every_size_to_twenty():
         ]
         if n:
             symbols = "".join("+-"[b] for b in rng.integers(0, 2, size=n - 1))
-            graphs.append(build(ThresholdCode(symbols)))
+            graphs.append(build(walk(symbols)))
         for g in graphs:
             scan = profile_by_scan(g).by_size
             assert clique_profile(g).by_size == scan

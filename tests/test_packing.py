@@ -6,27 +6,22 @@ from math import comb, factorial, isclose, sqrt
 import pytest
 
 from ngbounds.oracle import rng_for
-from ngbounds.packing import (
-    BorderPath,
-    border_from_heights,
-    conjugate,
-    discrete_border_max,
-    leading_term_bound,
-    majorizes,
-    one_turn_value,
-    packed_pair,
-)
+from ngbounds.packing import BorderPath, discrete_border_max, leading_term_bound, one_turn_value
 from ngbounds.verify import threshold_code_max
 
 from helpers import (
+    border_from_heights,
     border_max_by_enumeration,
     code_max_by_enumeration,
+    conjugate,
     one_turn_slope_identity,
+    packed_pair,
     poly_at,
     ratio_polynomial,
     sign_changes,
     split_polynomial,
     two_turn_grid_argmax,
+    walk_heights,
 )
 
 
@@ -53,15 +48,6 @@ def test_conjugate_involution():
         c = tuple(sorted((int(rng.integers(0, 8)) for _ in range(length)), reverse=True))
         assert conjugate(conjugate(c)) == _strip_zeros(c)
         assert sum(conjugate(c)) == sum(c)
-
-
-def test_majorizes():
-    assert majorizes((3, 3, 1), conjugate((3, 2, 2, 0)))  # equality case
-    assert majorizes((1, 1), (2, 0))
-    assert not majorizes((3, 0), (2, 1))
-    assert majorizes((), (1,))
-    with pytest.raises(ValueError):
-        majorizes((1, 2), (2, 1))
 
 
 def test_packed_pair_fixtures():
@@ -120,8 +106,8 @@ def test_border_path_every_step_string():
             assert all((a[0] == 0) != (b[0] == 0) for a, b in zip(segments, segments[1:]))  # axes alternate
             assert "".join("-" * dx + "+" * dy for dx, dy in segments) == steps
             assert path.orientation == ("starts-up" if steps[:1] == "+" else "starts-right")
-            heights = [steps[:i].count("+") for i, step in enumerate(steps) if step == "-"]
-            assert border_from_heights(heights, path.end[1]) == path
+            assert border_from_heights(walk_heights(steps), path.end[1]) == path
+            assert path.complemented().end == path.end[::-1] and path.complemented().complemented() == path
     for bad in ("x", "-+x", "+ -"):
         with pytest.raises(ValueError, match="path steps"):
             BorderPath(bad)

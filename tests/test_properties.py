@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ngbounds import (
+    BorderPath,
     Graph,
     GraphFamily,
-    ThresholdCode,
     build,
     clique_profile,
+    closed_form_counts,
     complement,
     emit_coloring,
     emit_graph6,
@@ -22,6 +23,8 @@ from ngbounds import (
 from ngbounds.graphs import edge_list
 from ngbounds.packing import _walk_sums
 from ngbounds.verify import _code_terms
+
+from helpers import packed_pair, walk, walk_columns, walk_heights
 
 
 @st.composite
@@ -53,13 +56,29 @@ def test_independent_profile_is_clique_profile_of_complement(g):
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(st.text("+-", max_size=15))
-def test_code_walk_sums_are_the_size_counts_of_the_built_graph(symbols):
-    # threshold_code_max walks the display string; its two sums are K_t and I_t
-    g = build(ThresholdCode(symbols))
+def test_code_walk_sums_are_the_size_counts_of_the_built_graph(code):
+    # threshold_code_max walks the display code without the seed's step; its two sums are K_t and I_t
+    g = build(walk(code))
     kp, ip = clique_profile(g), independent_profile(g)
     for t in range(2, 6):
-        w, ends = _code_terms(len(symbols), t)
-        assert _walk_sums(w, symbols[::-1], ends, ends) == (kp.count(t), ip.count(t))
+        w, ends = _code_terms(len(code), t)
+        assert _walk_sums(w, code, ends, ends) == (kp.count(t), ip.count(t))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.text("+-", max_size=15))
+def test_walk_closed_form_matches_the_built_graph_and_its_sides_pack(code):
+    path = walk(code)
+    flipped = BorderPath(code + path.complemented().steps[-1])  # the seed on the other side of the split
+    g = build(path)
+    assert build(flipped) == g
+    kp, ip = clique_profile(g), independent_profile(g)
+    for t in range(2, 6):
+        assert closed_form_counts(path, t) == closed_form_counts(flipped, t) == (kp.count(t), ip.count(t))
+    for split in (path, flipped):
+        # the clique side's non-neighbour counts are the Gale-Ryser packed partner of the independent side's degrees
+        s, r = split.end
+        assert packed_pair(walk_heights(split.steps), r, s) == walk_columns(split.steps)[::-1]
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
