@@ -24,7 +24,7 @@ import sys
 from math import prod
 
 from .compression import compress_to_threshold
-from .counting import clique_profile, count_cliques, independent_profile, pi
+from .counting import clique_profile, independent_profile, pi
 from .graphs import Graph6Error, parse_graph6
 from .multicolor import (
     ColoringFormatError,
@@ -56,10 +56,11 @@ def cmd_count(args) -> int:
             raise ValueError("--t applies to graphs, not to --coloring")
         with open(args.coloring, encoding="ascii") as fh:
             fam = parse_coloring(fh.read())
-        counts = [count_cliques(g) for g in fam.members]
-        product = prod(counts)
+        counts = fam.clique_counts()
         limit = sys.get_int_max_str_digits()
-        if limit and product >= 10**limit:
+        # every member has n + 1 cliques or more: (n + 1)^r refuses most huge products unbuilt
+        product = prod(counts) if not limit or (fam.n + 1) ** fam.r < 10**limit else None
+        if product is None or limit and product >= 10**limit:
             raise ValueError(f"the coloring's product has more than {limit} digits")
         print(f"n {fam.n}")
         print(f"r {fam.r}")

@@ -67,12 +67,19 @@ class GraphFamily:
 
     @cached_property
     def members(self) -> tuple[Graph, ...]:
-        adj = [[0] * self.n for _ in range(self.r)]
+        adj: dict[int, list[int]] = {}
         for (u, v), c in zip(edge_list(self.n), self.colors):
             if c is not None:
-                adj[c][u] |= 1 << v
-                adj[c][v] |= 1 << u
-        return tuple(Graph(self.n, tuple(rows)) for rows in adj)
+                rows = adj.setdefault(c, [0] * self.n)
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+        empty = Graph.empty(self.n)  # shared by every color with no edge
+        return tuple(Graph(self.n, tuple(adj[c])) if c in adj else empty for c in range(self.r))
+
+    def clique_counts(self) -> list[int]:
+        """k(G_i) for each color i.  A color with no edge has the n + 1
+        cliques of the edgeless graph, so only the colors in use are counted."""
+        return [count_cliques(g) if any(g.adj) else self.n + 1 for g in self.members]
 
     @property
     def covers_all_edges(self) -> bool:
@@ -273,11 +280,11 @@ def count_good_sequences(fam: GraphFamily, q: int) -> int:
 
 
 def product_clique_counts(fam: GraphFamily) -> int:
-    return prod(count_cliques(g) for g in fam.members)
+    return prod(fam.clique_counts())
 
 
 def sum_clique_counts(fam: GraphFamily) -> int:
-    return sum(count_cliques(g) for g in fam.members)
+    return sum(fam.clique_counts())
 
 
 def count_covering_tuples(fam: GraphFamily) -> int:

@@ -1,17 +1,17 @@
 """Brute-force oracles: exhaustive extremal scans and seeded random sampling.
 
 Exhaustive scans enumerate every labeled graph as an edge-set bitmask over
-``edge_list(n)`` slots.  Per-graph counts are evaluated in bulk: each
-tracked vertex subset occupies one bit of a 64-bit word, two lookup tables
-(low/high halves of the edge mask) say which subsets are cliques inside a
-graph, and a popcount finishes the job.  Only clique tables are built: a
-subset is independent in a mask exactly when it is a clique in the
-complement mask, whose table index is the reverse one, so the independent
-tables are the clique tables read backwards.  Sharding is by residue: shard
-k of K processes masks congruent to k mod K, and partial records merge
-associatively.  The coloring scan tabulates k(G_mask) with the same kernel
-and evaluates every coloring as array lookups, color by color; witnesses are
-written from families of their color codes, with no member graph built.
+``edge_list(n)`` slots: a row (the high half) and a column (the low half).
+Each tracked vertex subset occupies one bit of a 64-bit word, one table per
+half says which subsets are cliques within its edges, and a block of graphs
+is counted by a broadcast AND of a class of rows against a class of columns
+and a popcount.  Only clique tables are built: a subset is independent in a
+mask exactly when it is a clique of the complement mask, whose row and
+column are the reversed ones.  Sharding is by residue: shard k of K takes
+the masks congruent to k mod K, and partial records merge associatively.
+The coloring scan tabulates k(G_mask) with the same kernel and evaluates
+every coloring as array lookups, color by color; witnesses are written from
+families of their color codes, with no member graph built.
 
 Randomness is PCG64 via numpy with an explicit stream rule: a sampler
 called with ``seed`` draws from SeedSequence([seed]); trial ``i`` of a
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, log, log2
+from math import comb, gcd, log, log2
 from operator import attrgetter
 from statistics import median
 from typing import Optional
@@ -39,7 +39,7 @@ WITNESS_CAP = 100
 _TOTAL_SCAN_MAX = 7  # 2^21 graphs
 _SIZED_SCAN_MAX = 8  # 2^28 graphs, fixed-size counts only
 _COLORING_LOOKUPS_MAX = 1 << 22  # r^(C(n,2)+1): 4^11 at (n, r) = (5, 4)
-_CHUNK = 1 << 22  # edge masks evaluated per numpy pass
+_BLOCK = 1 << 17  # edge masks per block: its 1 MiB of AND words stays in cache, where 2^20 ran slower
 
 # name -> (value of one parsed witness, the numpy ufunc that combines a
 # graph's clique and independent counts or a coloring's per-color counts)
@@ -87,19 +87,19 @@ class ExtremalRecord:
 
 def _popcount64(arr: np.ndarray) -> np.ndarray:
     if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(arr).astype(np.int64)
+        return np.bitwise_count(arr)
     x = arr.copy()
     x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
     x = (x & np.uint64(0x3333333333333333)) + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333))
     x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    return ((x * np.uint64(0x0101010101010101)) >> np.uint64(56)).astype(np.int64)
+    return ((x * np.uint64(0x0101010101010101)) >> np.uint64(56)).astype(np.uint8)
 
 
 def _tables(n: int, t: Optional[int]):
     """Lookup tables of the tracked vertex subsets (all sizes, or size t):
-    (lo_bits, words), one (cl_lo, cl_hi, in_lo, in_hi) word per 64 subsets.
-    Bit b of cl_lo[x] & cl_hi[y] says subset b is a clique of edge mask
-    x | y << lo_bits; the in_ tables are the cl_ ones reversed."""
+    (lo_bits, words), one (cl_lo, cl_hi) word per 64 subsets.  Bit b of
+    cl_lo[x] & cl_hi[y] says subset b is a clique of edge mask
+    x | y << lo_bits."""
     m = comb(n, 2)
     lo_bits = min(m, 14)
     slots = {e: i for i, e in enumerate(edge_list(n))}
@@ -120,26 +120,43 @@ def _tables(n: int, t: Optional[int]):
             shift = np.uint64(bit)
             cl_lo |= ((xs_lo & pm_lo) == pm_lo).astype(np.uint64) << shift
             cl_hi |= ((xs_hi & pm_hi) == pm_hi).astype(np.uint64) << shift
-        words.append((cl_lo, cl_hi, cl_lo[::-1], cl_hi[::-1]))
+        words.append((cl_lo, cl_hi))
     return lo_bits, words
 
 
-def _mask_counts(ranges, lo_bits: int, words):
-    """For each edge-mask range (start, stop, step): start, and each mask's
-    tracked clique and independent-set counts.  A generator, so a chunk's
-    arrays are freed only as the next chunk's are built; freeing them at once
-    lets the allocator return and refault that memory every chunk.  A caller
-    that holds a chunk's arrays into the next one costs the same refaults."""
-    for start, stop, step in ranges:
-        edges = np.arange(start, stop, step, dtype=np.int64)
-        lo_idx = edges & ((1 << lo_bits) - 1)
-        hi_idx = edges >> lo_bits
-        kcnt = np.zeros(len(edges), dtype=np.int64)
-        icnt = np.zeros(len(edges), dtype=np.int64)
-        for cl_lo, cl_hi, in_lo, in_hi in words:
-            kcnt += _popcount64(cl_lo[lo_idx] & cl_hi[hi_idx])
-            icnt += _popcount64(in_lo[lo_idx] & in_hi[hi_idx])
-        yield start, kcnt, icnt
+def _clique_counts(words, hi, lo) -> np.ndarray:
+    (cl_lo, cl_hi), *rest = words
+    counts = _popcount64(cl_hi[hi, None] & cl_lo[lo]).astype(np.int32)  # holds 2^n and its square
+    for cl_lo, cl_hi in rest:
+        counts += _popcount64(cl_hi[hi, None] & cl_lo[lo])
+    return counts
+
+
+def _mask_counts(lo_bits: int, words, shards: int, shard: int):
+    """Tracked clique and independent-set counts of the edge masks congruent
+    to ``shard`` mod ``shards``, block by block: yields (hi, lo, kcnt, icnt),
+    the counts of mask hi[i] << lo_bits | lo[j] at [i, j].
+
+    In row hi the shard's columns are the class (shard - hi 2^lo_bits) mod
+    shards, so rows congruent mod shards / gcd(shards, 2^lo_bits) share one.
+    A block is some rows of such a progression against their class, counted
+    by a broadcast AND of their table words and a popcount; independent sets
+    are the cliques of the complement, at the reversed row and column.  A
+    block's masks are in increasing order row-major; blocks of different
+    progressions interleave.  A generator, so a block's arrays are freed
+    only as the next block's are built; freeing them at once lets the
+    allocator return and refault that memory every block."""
+    n_lo, n_hi = 1 << lo_bits, len(words[0][1])
+    period = shards // gcd(shards, n_lo)
+    for phase in range(min(period, n_hi)):
+        lo = np.arange((shard - phase * n_lo) % shards, n_lo, shards)
+        if not len(lo):
+            continue
+        rows = np.arange(phase, n_hi, period)
+        step = max(1, _BLOCK // len(lo))
+        for start in range(0, len(rows), step):
+            hi = rows[start : start + step]
+            yield hi, lo, _clique_counts(words, hi, lo), _clique_counts(words, n_hi - 1 - hi, n_lo - 1 - lo)
 
 
 def exhaustive_extremal(
@@ -178,7 +195,6 @@ def exhaustive_extremal(
     if not 0 <= shard < shards:
         raise ValueError(f"shard must be in [0, {shards}), got {shard}")
 
-    m = n * (n - 1) // 2
     lo_bits, words = _tables(n, t if sized else None)
     combine = _GRAPH_QUANTITIES[quantity][1]
     want_max = direction == "max"
@@ -186,11 +202,9 @@ def exhaustive_extremal(
     best: Optional[int] = None
     masks: list[int] = []
     total_wit = 0
-    spans = ((base + (shard - base) % shards, min(base + _CHUNK, 1 << m)) for base in range(0, 1 << m, _CHUNK))
-    ranges = ((first, stop, shards) for first, stop in spans if first < stop)
-    for first, kcnt, icnt in _mask_counts(ranges, lo_bits, words):
+    for hi, lo, kcnt, icnt in _mask_counts(lo_bits, words, shards, shard):
         vals = combine(kcnt, icnt, out=kcnt)
-        del icnt  # so the next chunk's arrays reuse its memory (see _mask_counts)
+        del icnt  # so the next block's arrays reuse its memory (see _mask_counts)
         ext = int(vals.max() if want_max else vals.min())
         if best is None or (ext > best if want_max else ext < best):
             best = ext
@@ -199,8 +213,8 @@ def exhaustive_extremal(
         if ext == best:
             hits = np.flatnonzero(vals == ext)
             total_wit += len(hits)
-            for idx in hits[: max(0, WITNESS_CAP - len(masks))]:
-                masks.append(first + int(idx) * shards)
+            rows, cols = np.divmod(hits[:WITNESS_CAP], len(lo))
+            masks = sorted(masks + (hi[rows] << lo_bits | lo[cols]).tolist())[:WITNESS_CAP]
     witnesses = tuple(emit_graph6(Graph.from_edge_mask(n, mk)) for mk in masks)
     return ExtremalRecord(n, quantity, direction, t if sized else None, best, witnesses, total_wit, "graph6")
 
@@ -264,8 +278,9 @@ def exhaustive_coloring_extremal(n: int, r: int, quantity: str, direction: str) 
     if r**m == 1:
         fam = GraphFamily(n, r, [0] * m)
         return ExtremalRecord(n, quantity, direction, None, evaluate(fam), (emit_coloring(fam),), 1, "coloring", r=r)
-    _, kcnt, _ = next(_mask_counts([(0, 1 << m, 1)], *_tables(n, None)))
-    table = kcnt if quantity == "sum" or n * r <= 62 else kcnt.astype(object)
+    # one shard: every block is whole rows, so the blocks run in mask order
+    kcnt = np.concatenate([k.ravel() for _, _, k, _ in _mask_counts(*_tables(n, None), 1, 0)])
+    table = kcnt.astype(np.int64 if quantity == "sum" or n * r <= 62 else object)
     low = m // 2
     bits = np.int64(1) << np.arange(m, dtype=np.int64)
     lo_digits = np.arange(r**low)[:, None] // r ** np.arange(low) % r

@@ -5,8 +5,10 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, factorial
 
-from ngbounds import BorderPath, Graph, build, one_turn_value, pi_t
-from ngbounds.oracle import _graph_from_rng
+import numpy as np
+
+from ngbounds import BorderPath, ExtremalRecord, Graph, build, emit_graph6, one_turn_value, pi_t
+from ngbounds.oracle import _GRAPH_QUANTITIES, WITNESS_CAP, _graph_from_rng, _popcount64, _tables
 
 
 def path_graph(n: int) -> Graph:
@@ -224,3 +226,51 @@ def code_max_by_enumeration(n: int, t: int):
             if len(argmax) < 5:
                 argmax.append(symbols[::-1])
     return best, one_turn, argmax
+
+
+# The per-mask gather scan the block kernel replaced, kept as its oracle.
+
+
+def mask_counts_by_gather(ranges, lo_bits: int, words):
+    """For each edge-mask range (start, stop, step): start, and each mask's
+    tracked clique and independent-set counts, by indexing the low and high
+    tables with every mask's two halves."""
+    for start, stop, step in ranges:
+        edges = np.arange(start, stop, step, dtype=np.int64)
+        lo_idx = edges & ((1 << lo_bits) - 1)
+        hi_idx = edges >> lo_bits
+        kcnt = np.zeros(len(edges), dtype=np.int64)
+        icnt = np.zeros(len(edges), dtype=np.int64)
+        for cl_lo, cl_hi in words:
+            kcnt += _popcount64(cl_lo[lo_idx] & cl_hi[hi_idx])
+            icnt += _popcount64(cl_lo[::-1][lo_idx] & cl_hi[::-1][hi_idx])
+        yield start, kcnt, icnt
+
+
+def extremal_by_gather(n: int, quantity: str, direction: str, t=None, shards: int = 1, shard: int = 0):
+    """One shard's ``exhaustive_extremal`` record, scanned in mask order in
+    chunks of 2^22 masks by ``mask_counts_by_gather``."""
+    chunk = 1 << 22
+    m = n * (n - 1) // 2
+    lo_bits, words = _tables(n, t)
+    combine = _GRAPH_QUANTITIES[quantity][1]
+    want_max = direction == "max"
+    best = None
+    masks = []
+    total_wit = 0
+    spans = ((base + (shard - base) % shards, min(base + chunk, 1 << m)) for base in range(0, 1 << m, chunk))
+    ranges = ((first, stop, shards) for first, stop in spans if first < stop)
+    for first, kcnt, icnt in mask_counts_by_gather(ranges, lo_bits, words):
+        vals = combine(kcnt, icnt)
+        ext = int(vals.max() if want_max else vals.min())
+        if best is None or (ext > best if want_max else ext < best):
+            best = ext
+            masks = []
+            total_wit = 0
+        if ext == best:
+            hits = np.flatnonzero(vals == ext)
+            total_wit += len(hits)
+            for idx in hits[: max(0, WITNESS_CAP - len(masks))]:
+                masks.append(first + int(idx) * shards)
+    witnesses = tuple(emit_graph6(Graph.from_edge_mask(n, mk)) for mk in masks)
+    return ExtremalRecord(n, quantity, direction, t, best, witnesses, total_wit, "graph6")

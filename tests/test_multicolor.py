@@ -10,6 +10,7 @@ from ngbounds import (
     Tournament,
     certificate_length,
     certificate_lower_bound,
+    count_cliques,
     count_covering_tuples,
     count_good_sequences,
     emit_coloring,
@@ -79,6 +80,18 @@ def test_from_colors_round_trip():
         by_color = [[e for e, c in zip(edge_list(n), colors) if c == i] for i in range(r)]
         assert fam.members == tuple(Graph.from_edges(n, edges) for edges in by_color)
         assert parse_coloring(emit_coloring(fam)) == fam
+
+
+def test_clique_counts_build_only_the_colors_in_use():
+    for seed in range(20):
+        fam = sample_random_coloring(int(rng_for([6, seed]).integers(0, 9)), 1 + seed % 6, seed, partial=True)
+        assert fam.clique_counts() == [count_cliques(g) for g in fam.members]
+    # 65,535 edgeless colors share one empty graph and count in closed form
+    huge = GraphFamily(62, MAX_COLORS, [0] + [None] * (comb(62, 2) - 1))
+    counts = huge.clique_counts()
+    assert counts[0] == 64 and counts[1:] == [63] * (MAX_COLORS - 1)
+    assert sum_clique_counts(huge) == 64 + 63 * (MAX_COLORS - 1)
+    assert len({id(g) for g in huge.members}) == 2 and huge.members[1] == Graph.empty(62)
 
 
 def test_from_colors_leaves_none_uncolored():

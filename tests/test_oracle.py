@@ -28,6 +28,8 @@ from ngbounds.graphs import edge_list
 from ngbounds.multicolor import certificate_lower_bound
 from ngbounds.oracle import WITNESS_CAP, _mask_counts, _popcount64, _tables, rng_for
 
+from helpers import extremal_by_gather
+
 
 def test_exhaustive_pi_max_small():
     rec = exhaustive_extremal(3, "pi", "max")
@@ -85,20 +87,78 @@ def test_exhaustive_extremal_validation():
         exhaustive_extremal(5, "tau", "max")
 
 
+def _block_masks(lo_bits, blocks):
+    """Every mask of a kernel scan, block by block in row-major order, with
+    its clique and independent-set counts."""
+    masks, kcnts, icnts = [], [], []
+    for hi, lo, kcnt, icnt in blocks:
+        assert kcnt.shape == icnt.shape == (len(hi), len(lo))
+        masks.append((hi[:, None] << lo_bits | lo).ravel())
+        kcnts.append(kcnt.ravel())
+        icnts.append(icnt.ravel())
+    return np.concatenate(masks), np.concatenate(kcnts), np.concatenate(icnts)
+
+
 @pytest.mark.parametrize("t", [None, 2, 3])
 def test_mask_counts_match_the_counting_engine(t):
-    # every mask for n <= 5 (low table only), then seeded masks for n = 6..8,
-    # where the high table and several 64-subset words come in; the
-    # independent counts come from reversed clique tables
+    # every mask for n <= 5 (low table only), in mask order from one shard;
+    # then for n = 6..8, where the high table and several 64-subset words
+    # come in, one seeded shard of 3 * 2^j, whose rows fall in progressions
+    # of period 3, and 100 seeded masks of it; the independent counts come
+    # from the complement's reversed row and column
     for n in range(1 if t is None else t, 9):
         m = math.comb(n, 2)
-        masks = range(1 << m) if n <= 5 else rng_for([n]).integers(0, 1 << m, size=100).tolist()
-        counts = _mask_counts([(mk, mk + 1, 1) for mk in masks], *_tables(n, t))
-        for mask, (_, kcnt, icnt) in zip(masks, counts):
-            g = Graph.from_edge_mask(n, mask)
+        lo_bits, words = _tables(n, t)
+        if n <= 5:
+            shards, shard = 1, 0
+        else:
+            shards = 3 << max(0, m - 16)
+            shard = int(rng_for([n, shards]).integers(shards))
+        masks, kcnts, icnts = _block_masks(lo_bits, _mask_counts(lo_bits, words, shards, shard))
+        if n <= 5:
+            assert masks.tolist() == list(range(1 << m))
+            picks = range(len(masks))
+        else:
+            assert sorted(masks.tolist()) == list(range(shard, 1 << m, shards))
+            picks = rng_for([n]).integers(0, len(masks), size=100).tolist()
+        for idx in picks:
+            g = Graph.from_edge_mask(n, int(masks[idx]))
             kp, ip = clique_profile(g), independent_profile(g)
             want = (sum(kp.by_size), sum(ip.by_size)) if t is None else (kp.count(t), ip.count(t))
-            assert (kcnt[0], icnt[0]) == want, (n, mask)
+            assert (kcnts[idx], icnts[idx]) == want, (n, masks[idx])
+
+
+_SCANS = [("sigma", None), ("pi", None), ("sigma_t", 2), ("pi_t", 3)]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_block_scan_records_match_the_gather_scan(n):
+    # full records, witnesses and their order included, on every shard of
+    # 1..7 shards; at n = 2, 3 some shards get no mask at all
+    for quantity, t in _SCANS:
+        t = None if t is None else min(t, n)
+        for direction in ("min", "max"):
+            for shards in range(1, 8):
+                for shard in range(shards):
+                    got = exhaustive_extremal(n, quantity, direction, t, shards=shards, shard=shard)
+                    want = extremal_by_gather(n, quantity, direction, t, shards, shard)
+                    assert got == want, (quantity, direction, shards, shard)
+
+
+@pytest.mark.parametrize("shards", [3, 4])
+def test_block_scan_records_match_the_gather_scan_at_n7(shards):
+    # 3 shards do not divide 2^14 low halves, so each shard's rows come in
+    # three progressions; 4 shards split the low halves into four classes
+    for (quantity, t), direction in zip(_SCANS, ("min", "max", "min", "max")):
+        for shard in range(shards):
+            got = exhaustive_extremal(7, quantity, direction, t, shards=shards, shard=shard)
+            assert got == extremal_by_gather(7, quantity, direction, t, shards, shard), (quantity, shard)
+
+
+def test_block_scan_without_bitwise_count(monkeypatch):
+    want = [extremal_by_gather(5, "pi", "max", None, 3, s) for s in range(3)]
+    monkeypatch.delattr(np, "bitwise_count", raising=False)  # numpy 1.x has none
+    assert [exhaustive_extremal(5, "pi", "max", shards=3, shard=s) for s in range(3)] == want
 
 
 def test_popcount_fallback_matches_bitwise_count(monkeypatch):
@@ -108,7 +168,7 @@ def test_popcount_fallback_matches_bitwise_count(monkeypatch):
     assert _popcount64(words).tolist() == want
     monkeypatch.delattr(np, "bitwise_count", raising=False)  # numpy 1.x has none
     got = _popcount64(words)
-    assert got.dtype == np.int64 and got.tolist() == want
+    assert got.dtype == np.uint8 and got.tolist() == want
 
 
 def test_merge_records_rejects_mixed_scans():

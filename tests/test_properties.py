@@ -20,7 +20,8 @@ from ngbounds import (
     parse_graph6,
     profile_by_scan,
 )
-from ngbounds.graphs import edge_list
+from ngbounds.graphs import Graph6Error, edge_list
+from ngbounds.multicolor import ColoringFormatError
 from ngbounds.packing import _walk_sums
 from ngbounds.verify import _code_terms
 
@@ -40,6 +41,18 @@ def colorings(draw, n_max: int = 9, r_max: int = 5):
     r = draw(st.integers(1, r_max))
     colors = draw(st.lists(st.none() | st.integers(0, r - 1), min_size=comb(n, 2), max_size=comb(n, 2)))
     return n, r, colors
+
+
+@st.composite
+def mutated(draw, texts):
+    """A drawn text with one byte replaced, inserted or deleted."""
+    text = draw(texts)
+    pos = draw(st.integers(0, len(text)))
+    byte = chr(draw(st.integers(0, 255)))
+    op = draw(st.sampled_from(("replace", "insert", "delete")))
+    if op == "insert":
+        return text[:pos] + byte + text[pos:]
+    return text[:pos] + (byte if op == "replace" else "") + text[pos + 1 :]
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -99,3 +112,28 @@ def test_coloring_round_trip(coloring):
     assert text == f"{n} {r}\n" + "".join(lines)
     assert parse_coloring(text) == fam
     assert emit_coloring(parse_coloring(text)) == text
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(mutated(graphs(n_max=20).map(emit_graph6)))
+def test_mutated_graph6_round_trips_or_is_refused(text):
+    # a graph6 string either decodes to a graph that writes it back byte for
+    # byte, or is refused with a Graph6Error, never another exception
+    try:
+        g = parse_graph6(text)
+    except Graph6Error:
+        return
+    assert emit_graph6(g) == text
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(mutated(colorings(n_max=6).map(lambda coloring: emit_coloring(GraphFamily(*coloring)))))
+def test_mutated_coloring_round_trips_or_is_refused(text):
+    # a coloring text either parses to a family that its own text parses
+    # back to, or is refused with a ColoringFormatError naming one of its lines
+    try:
+        fam = parse_coloring(text)
+    except ColoringFormatError as err:
+        assert 1 <= err.line <= max(1, len(text.splitlines()))
+        return
+    assert parse_coloring(emit_coloring(fam)) == fam
