@@ -103,16 +103,18 @@ def _block_masks(lo_bits, blocks):
 def test_mask_counts_match_the_counting_engine(t):
     # every mask for n <= 5 (low table only), in mask order from one shard;
     # then for n = 6..8, where the high table and several 64-subset words
-    # come in, one seeded shard of 3 * 2^j, whose rows fall in progressions
-    # of period 3, and 100 seeded masks of it; the independent counts come
-    # from the complement's reversed row and column
+    # come in, one seeded shard of an odd count K of about 2^(m-16), and 100
+    # seeded masks of it.  K is prime to 2^lo_bits, so the shard's rows fall
+    # in progressions of period K and its columns run through every residue
+    # mod K as the row changes: the picks reach the whole low table.  The
+    # independent counts come from the complement's reversed row and column
     for n in range(1 if t is None else t, 9):
         m = math.comb(n, 2)
         lo_bits, words = _tables(n, t)
         if n <= 5:
             shards, shard = 1, 0
         else:
-            shards = 3 << max(0, m - 16)
+            shards = 1 << max(0, m - 16) | 1
             shard = int(rng_for([n, shards]).integers(shards))
         masks, kcnts, icnts = _block_masks(lo_bits, _mask_counts(lo_bits, words, shards, shard))
         if n <= 5:
