@@ -43,6 +43,7 @@ from .multicolor import (
     Tournament,
     certificate_length,
     certificate_lower_bound,
+    construction_value,
     count_covering_tuples,
     count_good_sequences,
     emit_coloring,

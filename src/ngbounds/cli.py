@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
-from math import prod
+from math import comb, prod
 
 from .compression import compress_to_threshold
 from .counting import clique_profile, independent_profile, pi
@@ -31,10 +31,10 @@ from .multicolor import (
     Tournament,
     certificate_length,
     certificate_lower_bound,
+    construction_value,
     multicolor_upper_bound,
     parse_coloring,
     pigeonhole_sequence,
-    tournament_blocks,
 )
 from .oracle import exhaustive_coloring_extremal, exhaustive_extremal, random_pi_exponent
 from .packing import leading_term_bound
@@ -109,10 +109,12 @@ def cmd_bounds(args) -> int:
     # 2^(10/3) > 10, so for 3n >= 10 * limit pi_upper >= 10^limit: such an n is refused before it is built
     if limit and (3 * n >= 10 * limit or (n + 1) * 2**n >= 10**limit):
         raise ValueError(f"--n {n} is too large: pi_upper(n={n}) has more than {limit} digits")
-    m = certificate_length(n, r) if r is not None else None
-    # for n >= 1 and r >= 3, product_upper >= 10^(r(r-1)): such an r is refused before it is built
-    if m is not None and limit and (n and r * (r - 1) >= limit or multicolor_upper_bound(n, r) >= 10**limit):
-        raise ValueError(f"--r {r} is too large for --n {n}: product_upper(r={r}) has more than {limit} digits")
+    if r is not None:
+        m = certificate_length(n, r)
+        # for n >= 1 and r >= 3, product_upper >= 10^(r(r-1)): such an r is refused before it is built
+        upper = None if limit and n and r * (r - 1) >= limit else multicolor_upper_bound(n, r)  # refuses n < 1
+        if upper is None or limit and upper >= 10**limit:
+            raise ValueError(f"--r {r} is too large for --n {n}: product_upper(r={r}) has more than {limit} digits")
     g = parse_graph6(args.graph6.strip()) if args.graph6 is not None else None
     if g is not None and g.n != n:
         raise ValueError(f"--graph6 instance has {g.n} vertices, --n says {n}")
@@ -132,10 +134,9 @@ def cmd_bounds(args) -> int:
     if r is not None:
         print(f"certificate_bound(r={r}) {certificate_lower_bound(n, r)}")
         print(f"certificate_counts {','.join(map(str, pigeonhole_sequence(n, r, m)))}")
-        print(f"product_upper(r={r}) {multicolor_upper_bound(n, r)}")
-        sizes = [mask.bit_count() for _, mask in tournament_blocks(n, Tournament.transitive(r))]
-        blocks = len(sizes)
-        print(f"construction_value(r={r}) {2**n * prod(1 + size for size in sizes)}")
+        print(f"product_upper(r={r}) {upper}")
+        print(f"construction_value(r={r}) {construction_value(n, Tournament.transitive(r))}")
+        blocks = comb(r, 2)
         if n % blocks == 0:
             print(f"construction_floor(r={r}) {2 ** n * (n // blocks) ** blocks}")
         else:

@@ -326,71 +326,59 @@ def count_covering_tuples(fam: GraphFamily) -> int:
 
 
 def multicolor_upper_bound(n: int, r: int) -> int:
-    """(4r-2)^(r(r-1)) * n^C(r,2) * 2^n, the closed-form product bound."""
+    """(4r-2)^(r(r-1)) * n^C(r,2) * 2^n, the closed-form product bound, for
+    n >= 1: the lone family on no vertex has product 1, above its value 0."""
     if r < 1:
         raise ValueError("need at least one color")
+    if n < 1:
+        raise ValueError(f"the product upper bound needs n >= 1, got n={n}")
     return (4 * r - 2) ** (r * (r - 1)) * n ** comb(r, 2) * 2**n
 
 
 @dataclass(frozen=True)
 class Tournament:
-    """Orientation of the complete graph on vertices 0..size-1; (i, j) in
-    ``beats`` means i -> j."""
+    """Orientation of the complete graph on vertices 0..size-1: ``winners``
+    has one entry per ``edge_list(size)`` pair, the vertex of that pair that
+    beats the other, so every pair is oriented exactly once by construction."""
 
     size: int
-    beats: frozenset[tuple[int, int]]
+    winners: tuple[int, ...]
 
     def __post_init__(self):
-        expected = self.size * (self.size - 1) // 2
-        if len(self.beats) != expected:
-            raise ValueError(f"expected {expected} oriented pairs, got {len(self.beats)}")
-        for i, j in self.beats:
-            if i == j or not (0 <= i < self.size and 0 <= j < self.size):
-                raise ValueError(f"bad oriented pair ({i}, {j})")
-            if (j, i) in self.beats:
-                raise ValueError(f"pair ({i}, {j}) oriented both ways")
+        object.__setattr__(self, "winners", tuple(self.winners))
+        pairs = edge_list(self.size)
+        if len(self.winners) != len(pairs):
+            raise ValueError(f"expected {len(pairs)} winners for size {self.size}, got {len(self.winners)}")
+        for (i, j), w in zip(pairs, self.winners):
+            if w not in (i, j):
+                raise ValueError(f"winner {w} of pair ({i}, {j}) is not in the pair")
 
     @classmethod
     def transitive(cls, size: int) -> "Tournament":
-        return cls(size, frozenset((i, j) for i in range(size) for j in range(i + 1, size)))
+        return cls(size, [i for i, _ in edge_list(size)])
 
     @classmethod
     def cyclic(cls, size: int) -> "Tournament":
         """i beats the next (size-1)//2 vertices around the cycle; for even
         size the leftover antipodal pairs fall to the lower index."""
-        beats = set()
-        for i in range(size):
-            for k in range(1, (size - 1) // 2 + 1):
-                beats.add((i, (i + k) % size))
-        for i in range(size):
-            for j in range(i + 1, size):
-                if (i, j) not in beats and (j, i) not in beats:
-                    beats.add((i, j))
-        return cls(size, frozenset(beats))
-
-    def winner(self, i: int, j: int) -> int:
-        return i if (i, j) in self.beats else j
+        return cls(size, [j if size - (j - i) <= (size - 1) // 2 else i for i, j in edge_list(size)])
 
 
 def tournament_blocks(n: int, tournament: Tournament) -> list[tuple[tuple[int, int], int]]:
     """Split 0..n-1 into C(r,2) consecutive blocks, one per tournament edge.
 
     Sizes differ by at most one; the larger blocks go to lexicographically
-    earlier (undirected) edges.  Each entry is ((winner, loser), mask).
+    earlier (undirected) edges.  Each entry is ((winner, loser), size).
     """
-    r = tournament.size
-    pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
-    k = len(pairs)
-    base, extra = divmod(n, k)
-    blocks = []
-    start = 0
-    for idx, (i, j) in enumerate(pairs):
-        size = base + (1 if idx < extra else 0)
-        mask = ((1 << size) - 1) << start
-        start += size
-        w = tournament.winner(i, j)
-        blocks.append(((w, i + j - w), mask))
-    return blocks
+    pairs = edge_list(tournament.size)
+    base, extra = divmod(n, len(pairs))
+    return [((w, i + j - w), base + (idx < extra)) for idx, ((i, j), w) in enumerate(zip(pairs, tournament.winners))]
+
+
+def construction_value(n: int, tournament: Tournament) -> int:
+    """2^n times the product of (1 + block size) over the tournament blocks:
+    the floor on the construction's clique-count product."""
+    return 2**n * prod(1 + size for _, size in tournament_blocks(n, tournament))
 
 
 def tournament_construction(n: int, r: int, tournament: Tournament) -> GraphFamily:
@@ -399,15 +387,13 @@ def tournament_construction(n: int, r: int, tournament: Tournament) -> GraphFami
     Member i gets all edges inside each block it wins (label i -> j) and all
     edges between two blocks whose labels both touch i.  Pairs of blocks
     with disjoint labels stay uncolored, so the family is partial for r >= 3.
-    The clique-count product is at least 2^n times the product of
-    (1 + block size) over all blocks.
+    The clique-count product is at least ``construction_value``.
     """
     if r < 2:
         raise ValueError("construction needs at least 2 colors")
     if tournament.size != r:
         raise ValueError(f"tournament has {tournament.size} vertices, expected {r}")
-    blocks = tournament_blocks(n, tournament)
-    label = [edge for edge, mask in blocks for _ in range(mask.bit_count())]  # blocks are consecutive
+    label = [edge for edge, size in tournament_blocks(n, tournament) for _ in range(size)]  # blocks are consecutive
     colors = []
     for u, v in edge_list(n):
         if label[u] == label[v]:

@@ -68,15 +68,14 @@ class ExtremalRecord:
     value: Optional[int]  # None for an empty shard
     witnesses: tuple[str, ...]
     total_witnesses: int
-    kind: str  # 'graph6' | 'coloring'
-    r: Optional[int] = None
+    r: Optional[int] = None  # the color count of a coloring scan, None for a graph scan
 
     def recheck(self) -> bool:
         """Re-evaluate every stored witness from its serialized form."""
         if self.value is None:
             return not self.witnesses
         for blob in self.witnesses:
-            if self.kind == "graph6":
+            if self.r is None:
                 got = _GRAPH_QUANTITIES[self.quantity][0](parse_graph6(blob), self.t)
             else:
                 got = _COLORING_QUANTITIES[self.quantity][0](parse_coloring(blob))
@@ -216,7 +215,7 @@ def exhaustive_extremal(
             rows, cols = np.divmod(hits[:WITNESS_CAP], len(lo))
             masks = sorted(masks + (hi[rows] << lo_bits | lo[cols]).tolist())[:WITNESS_CAP]
     witnesses = tuple(emit_graph6(Graph.from_edge_mask(n, mk)) for mk in masks)
-    return ExtremalRecord(n, quantity, direction, t if sized else None, best, witnesses, total_wit, "graph6")
+    return ExtremalRecord(n, quantity, direction, t if sized else None, best, witnesses, total_wit)
 
 
 def merge_records(records) -> ExtremalRecord:
@@ -225,7 +224,7 @@ def merge_records(records) -> ExtremalRecord:
     if not records:
         raise ValueError("nothing to merge")
     head = records[0]
-    scan = attrgetter("n", "quantity", "direction", "t", "kind", "r")
+    scan = attrgetter("n", "quantity", "direction", "t", "r")
     if any(scan(rec) != scan(head) for rec in records):
         raise ValueError("cannot merge records of different scans")
     live = [rec for rec in records if rec.value is not None]
@@ -239,9 +238,7 @@ def merge_records(records) -> ExtremalRecord:
         if rec.value == value:
             total += rec.total_witnesses
             witnesses.extend(rec.witnesses[: max(0, WITNESS_CAP - len(witnesses))])
-    return ExtremalRecord(
-        head.n, head.quantity, head.direction, head.t, value, tuple(witnesses), total, head.kind, head.r
-    )
+    return ExtremalRecord(head.n, head.quantity, head.direction, head.t, value, tuple(witnesses), total, head.r)
 
 
 def exhaustive_coloring_extremal(n: int, r: int, quantity: str, direction: str) -> ExtremalRecord:
@@ -277,7 +274,7 @@ def exhaustive_coloring_extremal(n: int, r: int, quantity: str, direction: str) 
     evaluate, combine = _COLORING_QUANTITIES[quantity]
     if r**m == 1:
         fam = GraphFamily(n, r, [0] * m)
-        return ExtremalRecord(n, quantity, direction, None, evaluate(fam), (emit_coloring(fam),), 1, "coloring", r=r)
+        return ExtremalRecord(n, quantity, direction, None, evaluate(fam), (emit_coloring(fam),), 1, r)
     # one shard: every block is whole rows, so the blocks run in mask order
     kcnt = np.concatenate([k.ravel() for _, _, k, _ in _mask_counts(*_tables(n, None), 1, 0)])
     table = kcnt.astype(np.int64 if quantity == "sum" or n * r <= 62 else object)
@@ -295,7 +292,7 @@ def exhaustive_coloring_extremal(n: int, r: int, quantity: str, direction: str) 
     witnesses = tuple(
         emit_coloring(GraphFamily(n, r, [int(code) // r**s % r for s in range(m)])) for code in hits[:WITNESS_CAP]
     )
-    return ExtremalRecord(n, quantity, direction, None, int(ext), witnesses, len(hits), "coloring", r=r)
+    return ExtremalRecord(n, quantity, direction, None, int(ext), witnesses, len(hits), r)
 
 
 def _graph_from_rng(n: int, rng: np.random.Generator) -> Graph:
@@ -329,12 +326,10 @@ def sample_random_coloring(n: int, r: int, seed: int, partial: bool = False) -> 
 
 
 def random_tournament(size: int, seed: int) -> Tournament:
+    """One fair bit per ``edge_list(size)`` pair, in order: 1 gives the pair
+    to its lower vertex.  Deterministic under the seed."""
     rng = rng_for([seed])
-    beats = set()
-    for i in range(size):
-        for j in range(i + 1, size):
-            beats.add((i, j) if rng.integers(0, 2) else (j, i))
-    return Tournament(size, frozenset(beats))
+    return Tournament(size, [i if rng.integers(0, 2) else j for i, j in edge_list(size)])
 
 
 @dataclass(frozen=True)
@@ -346,10 +341,12 @@ class ExponentReport:
     """
 
     n: int
-    trials: int
-    seed: int
     products: tuple[int, ...]
-    ratios: tuple[float, ...]
+
+    @property
+    def ratios(self) -> tuple[float, ...]:
+        denom = log(self.n) * log2(self.n)
+        return tuple(log(p) / denom for p in self.products)
 
     def csv_lines(self) -> list[str]:
         out = ["trial,pi,ratio"]
@@ -361,7 +358,7 @@ class ExponentReport:
         rs = self.ratios
         return {
             "n": self.n,
-            "trials": self.trials,
+            "trials": len(self.products),
             "min": min(rs),
             "median": median(rs),
             "max": max(rs),
@@ -379,12 +376,4 @@ def random_pi_exponent(n: int, trials: int, seed: int) -> ExponentReport:
         raise ValueError(f"exponent sampling needs 2 <= n <= 62, got {n}")
     if trials < 1:
         raise ValueError("need at least one trial")
-    denom = log(n) * log2(n)
-    products = []
-    ratios = []
-    for i in range(trials):
-        g = _graph_from_rng(n, rng_for([seed, i]))
-        p = pi(g)
-        products.append(p)
-        ratios.append(log(p) / denom)
-    return ExponentReport(n, trials, seed, tuple(products), tuple(ratios))
+    return ExponentReport(n, tuple(pi(_graph_from_rng(n, rng_for([seed, i]))) for i in range(trials)))

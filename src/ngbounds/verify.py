@@ -16,6 +16,7 @@ from .counting import clique_profile, independent_profile
 from .graphs import MAX_VERTICES, Graph, complement, emit_graph6
 from .multicolor import (
     GraphFamily,
+    construction_value,
     count_covering_tuples,
     count_good_sequences,
     emit_coloring,
@@ -24,7 +25,6 @@ from .multicolor import (
     pigeonhole_sequence,
     product_clique_counts,
     sum_clique_counts,
-    tournament_blocks,
     tournament_construction,
 )
 from .oracle import _TOTAL_SCAN_MAX, _graph_from_rng, exhaustive_coloring_extremal, exhaustive_extremal
@@ -52,9 +52,12 @@ class Report:
             self.counterexamples.append(artifact)
 
 
-def _check_n_max(suite: str, n_max: int, lo: int, hi: int) -> None:
-    if not lo <= n_max <= hi:
-        raise ValueError(f"--n-max: the {suite} suite needs {lo} <= n_max <= {hi}, got {n_max}")
+def _check(suite: str, name: str, value: int, lo: int, hi: int | None = None) -> None:
+    """Refuse an option value outside [lo, hi] (no upper end for hi=None)
+    before the suite does any work."""
+    if value < lo or hi is not None and value > hi:
+        need = f"{name} >= {lo}" if hi is None else f"{lo} <= {name} <= {hi}"
+        raise ValueError(f"--{name.replace('_', '-')}: the {suite} suite needs {need}, got {value}")
 
 
 def _profile_pair(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -68,7 +71,8 @@ def _pointwise_le(lo: tuple[int, ...], hi: tuple[int, ...]) -> bool:
 def verify_compression(trials: int = 10000, n_max: int = 12, seed: int = 7) -> Report:
     """Monotonicity of every fixed-size count under one compression, and of
     the product quantities along the whole pivot trace to a threshold graph."""
-    _check_n_max("compression", n_max, 2, MAX_VERTICES)
+    _check("compression", "n_max", n_max, 2, MAX_VERTICES)
+    _check("compression", "trials", trials, 1)
     rep = Report("compression")
     max_pivots_seen = 0
     for trial in range(trials):
@@ -119,7 +123,8 @@ def verify_thresholds(trials: int = 1000, n_max: int = 16, seed: int = 11, sizes
     """Random codes: build/recognize round trip, complement-code identity,
     and the closed-form size counts of the recognized walk against the
     counting oracle."""
-    _check_n_max("thresholds", n_max, 1, MAX_VERTICES)
+    _check("thresholds", "n_max", n_max, 1, MAX_VERTICES)
+    _check("thresholds", "trials", trials, 1)
     rep = Report("thresholds")
     for trial in range(trials):
         rng = rng_for([seed, trial])
@@ -170,7 +175,7 @@ def verify_borders(t: int = 3, n_max: int = 20) -> Report:
     also confirms the value is symmetric under swapping r and s, so
     restricting to r <= s would lose nothing.
     """
-    _check_n_max("borders", n_max, 0, MAX_RECTANGLE)
+    _check("borders", "n_max", n_max, 0, MAX_RECTANGLE)
     rep = Report("borders")
     local_multi_turn = 0
     for n in range(n_max + 1):
@@ -198,6 +203,7 @@ def verify_borders(t: int = 3, n_max: int = 20) -> Report:
 def verify_multicolor(trials: int = 100, seed: int = 23) -> Report:
     """Good-sequence sandwich, certificate validity, AM-GM, the exhaustive
     sum bound on 4 vertices, and the covering-tuple/product bounds."""
+    _check("multicolor", "trials", trials, 1)
     rep = Report("multicolor")
 
     for trial in range(trials):
@@ -259,8 +265,7 @@ def verify_multicolor(trials: int = 100, seed: int = 23) -> Report:
             n = int(rng_for([seed, 777, r, k]).integers(1, 13))
             tour = random_tournament(r, seed + 31 * r + k)
             fam = tournament_construction(n, r, tour)  # constructor validates edge-disjointness
-            floor_bound = 2**n * prod(1 + mask.bit_count() for _, mask in tournament_blocks(n, tour))
-            if product_clique_counts(fam) < floor_bound:
+            if product_clique_counts(fam) < construction_value(n, tour):
                 rep.fail(f"tournament product below its floor at n={n} r={r}", emit_coloring(fam))
     rep.note("tournament constructions r in [2,6], random tournaments: disjoint, product floor holds")
     return rep
@@ -269,29 +274,21 @@ def verify_multicolor(trials: int = 100, seed: int = 23) -> Report:
 def verify_extremal(n_max: int = 6, shards: int = 1) -> Report:
     """Exhaustive labeled scans: the sum/product maxima, their witness sets,
     and the trivial fixed-size cap."""
-    _check_n_max("extremal", n_max, 1, _TOTAL_SCAN_MAX)
-    if shards < 1:
-        raise ValueError(f"--shards: the extremal suite needs shards >= 1, got {shards}")
+    _check("extremal", "n_max", n_max, 1, _TOTAL_SCAN_MAX)
+    _check("extremal", "shards", shards, 1)
     rep = Report("extremal")
     for n in range(1, n_max + 1):
         use_shards = shards if n == n_max else 1
         expect = {emit_graph6(Graph.complete(n)), emit_graph6(Graph.empty(n))}
 
-        rec = exhaustive_extremal(n, "pi", "max", shards=use_shards)
-        if rec.value != (n + 1) * 2**n:
-            rep.fail(f"max product {rec.value} != {(n + 1) * 2 ** n} at n={n}")
-        if set(rec.witnesses) != expect:
-            rep.fail(f"product witnesses {rec.witnesses} != complete/empty at n={n}")
-        if not rec.recheck():
-            rep.fail(f"product record failed self-verification at n={n}")
-
-        rec = exhaustive_extremal(n, "sigma", "max", shards=use_shards)
-        if rec.value != 2**n + n + 1:
-            rep.fail(f"max sum {rec.value} != {2 ** n + n + 1} at n={n}")
-        if set(rec.witnesses) != expect:
-            rep.fail(f"sum witnesses {rec.witnesses} != complete/empty at n={n}")
-        if not rec.recheck():
-            rep.fail(f"sum record failed self-verification at n={n}")
+        for quantity, name, want in (("pi", "product", (n + 1) * 2**n), ("sigma", "sum", 2**n + n + 1)):
+            rec = exhaustive_extremal(n, quantity, "max", shards=use_shards)
+            if rec.value != want:
+                rep.fail(f"max {name} {rec.value} != {want} at n={n}")
+            if set(rec.witnesses) != expect:
+                rep.fail(f"{name} witnesses {rec.witnesses} != complete/empty at n={n}")
+            if not rec.recheck():
+                rep.fail(f"{name} record failed self-verification at n={n}")
 
         for t in range(2, n + 1):
             cap = comb(n, t)

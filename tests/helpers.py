@@ -273,4 +273,4 @@ def extremal_by_gather(n: int, quantity: str, direction: str, t=None, shards: in
             for idx in hits[: max(0, WITNESS_CAP - len(masks))]:
                 masks.append(first + int(idx) * shards)
     witnesses = tuple(emit_graph6(Graph.from_edge_mask(n, mk)) for mk in masks)
-    return ExtremalRecord(n, quantity, direction, t, best, witnesses, total_wit, "graph6")
+    return ExtremalRecord(n, quantity, direction, t, best, witnesses, total_wit)

@@ -220,6 +220,23 @@ def test_bounds_rejects_an_unprintable_n_before_printing(capsys):
     assert f"--r 2 is too large for --n {last}" in err
 
 
+def test_bounds_refuses_colors_on_zero_vertices_before_printing(capsys):
+    # product_upper would read 0 there, though the lone 0-vertex family has product 1
+    limit = sys.get_int_max_str_digits()
+    try:
+        for digits in (limit, 0):  # 0 turns the digit limit off
+            sys.set_int_max_str_digits(digits)
+            for r in ("2", "3", "7"):
+                code, out, err = run(capsys, "bounds", "--t", "3", "--n", "0", "--r", r)
+                assert (code, out) == (2, "")
+                assert "needs n >= 1, got n=0" in err
+    finally:
+        sys.set_int_max_str_digits(limit)
+    code, out, _ = run(capsys, "bounds", "--t", "3", "--n", "0")
+    head = "split_3 0.640388203202\npeak_3 0.077460543678\n"
+    assert (code, out) == (0, head + "leading_bound(n=0) 0.000000e+00\npi_upper(n=0) 1\n")
+
+
 def test_bounds_refuses_a_leading_term_past_float_range_before_printing(capsys):
     code, out, err = run(capsys, "bounds", "--t", "60", "--n", "14270")
     assert (code, out) == (2, "")
@@ -301,6 +318,19 @@ def test_verify_suites_refuse_an_out_of_range_n_max_before_any_work(capsys, monk
     assert (code, out) == (2, "")
     assert f"--n-max: the {argv[0]} suite needs {bounds}" in err
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize(
+    "suite, trials", [("compression", "-3"), ("thresholds", "-2"), ("multicolor", "-1"), ("multicolor", "0")]
+)
+def test_verify_suites_refuse_a_trial_count_below_one_before_any_work(capsys, monkeypatch, suite, trials):
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked before checking --trials")
+
+    monkeypatch.setattr("ngbounds.verify.rng_for", no_work)
+    code, out, err = run(capsys, "verify", suite, "--trials", trials)
+    assert (code, out) == (2, "")
+    assert f"--trials: the {suite} suite needs trials >= 1, got {trials}" in err
 
 
 def test_verify_extremal_refuses_zero_shards_before_any_scan(capsys, monkeypatch):

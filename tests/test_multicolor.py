@@ -10,6 +10,7 @@ from ngbounds import (
     Tournament,
     certificate_length,
     certificate_lower_bound,
+    construction_value,
     count_cliques,
     count_covering_tuples,
     count_good_sequences,
@@ -234,6 +235,9 @@ def test_covering_tuple_fixtures():
         fam = GraphFamily(n, 1, [0] * comb(n, 2))
         assert count_covering_tuples(fam) == 1
         assert multicolor_upper_bound(n, 1) == 2**n
+    for r in (1, 2, 3):  # the lone 0-vertex family has product 1, above the formula's 0
+        with pytest.raises(ValueError, match="needs n >= 1"):
+            multicolor_upper_bound(0, r)
     with pytest.raises(ValueError):
         count_covering_tuples(GraphFamily(9, 1, [None] * comb(9, 2)))
 
@@ -271,26 +275,39 @@ def test_multicolor_upper_bound_fixtures():
 
 
 def test_tournament_validation():
-    with pytest.raises(ValueError):
-        Tournament(3, frozenset({(0, 1), (1, 0), (1, 2)}))
-    with pytest.raises(ValueError):
-        Tournament(3, frozenset({(0, 1)}))
-    t = Tournament.cyclic(3)
-    assert t.beats == frozenset({(0, 1), (1, 2), (2, 0)})
-    assert t.winner(0, 1) == 0 and t.winner(2, 0) == 2
-    assert Tournament.transitive(4).winner(3, 1) == 1
+    with pytest.raises(ValueError, match="expected 3 winners"):
+        Tournament(3, [0, 1])
+    with pytest.raises(ValueError, match="expected 3 winners"):
+        Tournament(3, [0, 0, 1, 2])
+    with pytest.raises(ValueError, match=r"winner 2 of pair \(0, 1\)"):
+        Tournament(3, [2, 0, 1])
+    with pytest.raises(ValueError, match=r"winner 0 of pair \(1, 2\)"):
+        Tournament(3, [0, 0, 0])
+    assert Tournament(3, [1, 2, 1]).winners == (1, 2, 1)
+    assert Tournament.cyclic(3).winners == (0, 2, 1)  # 0 -> 1 -> 2 -> 0
+    assert Tournament.transitive(4).winners == (0, 0, 0, 1, 1, 2)
+    assert Tournament(0, []).winners == Tournament(1, []).winners == ()
+
+
+def test_cyclic_tournament_follows_the_rotation_rule():
+    for size in range(10):
+        half = (size - 1) // 2
+        beats = {(i, (i + k) % size) for i in range(size) for k in range(1, half + 1)}
+        for i in range(size):  # even sizes leave the antipodal pairs to the lower index
+            for j in range(i + 1, size):
+                if (j, i) not in beats:
+                    beats.add((i, j))
+        want = [i if (i, j) in beats else j for i, j in edge_list(size)]
+        assert list(Tournament.cyclic(size).winners) == want
+        assert len(beats) == len(want)  # no pair oriented both ways
 
 
 def test_tournament_blocks_split_evenly():
-    tour = Tournament.transitive(4)  # 6 blocks
-    blocks = tournament_blocks(14, tour)
-    sizes = [mask.bit_count() for _, mask in blocks]
-    assert sizes == [3, 3, 2, 2, 2, 2]  # larger blocks on lexicographically earlier edges
-    union = 0
-    for _, mask in blocks:
-        assert union & mask == 0
-        union |= mask
-    assert union == (1 << 14) - 1
+    blocks = tournament_blocks(14, Tournament.transitive(4))  # 6 blocks
+    # larger blocks on lexicographically earlier edges
+    assert blocks == [((0, 1), 3), ((0, 2), 3), ((0, 3), 2), ((1, 2), 2), ((1, 3), 2), ((2, 3), 2)]
+    assert [edge for edge, _ in tournament_blocks(3, Tournament.cyclic(3))] == [(0, 1), (2, 0), (1, 2)]
+    assert construction_value(14, Tournament.transitive(4)) == 2**14 * 4**2 * 3**4
 
 
 def test_tournament_construction_two_colors():
@@ -326,7 +343,8 @@ def test_tournament_construction_random_disjointness():
             tour = random_tournament(r, seed=100 * r + k)
             n = 5 + r + k
             fam = tournament_construction(n, r, tour)  # constructor checks disjointness
-            floor = 2**n * prod(1 + mask.bit_count() for _, mask in tournament_blocks(n, tour))
+            floor = 2**n * prod(1 + size for _, size in tournament_blocks(n, tour))
+            assert construction_value(n, tour) == floor
             assert product_clique_counts(fam) >= floor
             if r >= 4:
                 assert not fam.covers_all_edges

@@ -224,7 +224,7 @@ def _loop_coloring_records(n, r):
                 if len(rec[1]) < WITNESS_CAP:
                     rec[1].append(emit_coloring(fam))
     return {
-        key: ExtremalRecord(n, key[0], key[1], None, val, tuple(blobs), total, "coloring", r=r)
+        key: ExtremalRecord(n, key[0], key[1], None, val, tuple(blobs), total, r)
         for key, (val, blobs, total) in state.items()
     }
 
@@ -319,6 +319,14 @@ def test_sample_partial_coloring():
 
 def test_random_tournament_deterministic():
     assert random_tournament(6, seed=4) == random_tournament(6, seed=4)
+
+
+def test_random_tournament_draws_one_bit_per_pair_in_nested_order():
+    for r in range(2, 8):
+        for seed in range(6):
+            rng = rng_for([seed])
+            want = [i if rng.integers(0, 2) else j for i in range(r) for j in range(i + 1, r)]
+            assert list(random_tournament(r, seed).winners) == want
 
 
 def test_random_pi_exponent():
