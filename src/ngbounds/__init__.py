@@ -64,6 +64,7 @@ from .oracle import (
     merge_records,
     random_pi_exponent,
     random_tournament,
+    rng_for,
     sample_random_coloring,
     sample_random_graph,
 )

@@ -22,6 +22,7 @@ import argparse
 import inspect
 import sys
 from math import comb, prod
+from statistics import median
 
 from .compression import compress_to_threshold
 from .counting import clique_profile, independent_profile, pi
@@ -203,17 +204,18 @@ def cmd_extremal(args) -> int:
 
 def cmd_exponent(args) -> int:
     report = random_pi_exponent(args.n, args.trials, args.seed)
-    lines = report.csv_lines()
+    ratios = report.ratios
+    lines = ["trial,pi,ratio"]
+    for i, (p, ratio) in enumerate(zip(report.products, ratios)):
+        lines.append(f"{i},{p},{ratio:.9f}")
     if args.out is not None:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write("\n".join(lines) + "\n")
     else:
-        for line in lines:
-            print(line)
-    summary = report.summary()
+        print("\n".join(lines))
     print(
-        f"# n={summary['n']} trials={summary['trials']} "
-        f"min={summary['min']:.6f} median={summary['median']:.6f} max={summary['max']:.6f}",
+        f"# n={report.n} trials={len(ratios)} "
+        f"min={min(ratios):.6f} median={median(ratios):.6f} max={max(ratios):.6f}",
         file=sys.stderr,
     )
     return 0

@@ -114,6 +114,8 @@ class Graph:
         for u, v in edges:
             if u == v:
                 raise ValueError(f"loop edge ({u}, {v})")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}) has a vertex outside [0, {n})")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         return cls(n, tuple(rows))

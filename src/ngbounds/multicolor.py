@@ -345,6 +345,8 @@ class Tournament:
     winners: tuple[int, ...]
 
     def __post_init__(self):
+        if self.size < 0:
+            raise ValueError(f"tournament size must be >= 0, got {self.size}")
         object.__setattr__(self, "winners", tuple(self.winners))
         pairs = edge_list(self.size)
         if len(self.winners) != len(pairs):
@@ -371,6 +373,8 @@ def tournament_blocks(n: int, tournament: Tournament) -> list[tuple[tuple[int, i
     earlier (undirected) edges.  Each entry is ((winner, loser), size).
     """
     pairs = edge_list(tournament.size)
+    if not pairs:
+        raise ValueError(f"a tournament of size {tournament.size} has no pair to label a block")
     base, extra = divmod(n, len(pairs))
     return [((w, i + j - w), base + (idx < extra)) for idx, ((i, j), w) in enumerate(zip(pairs, tournament.winners))]
 
@@ -381,18 +385,14 @@ def construction_value(n: int, tournament: Tournament) -> int:
     return 2**n * prod(1 + size for _, size in tournament_blocks(n, tournament))
 
 
-def tournament_construction(n: int, r: int, tournament: Tournament) -> GraphFamily:
-    """Edge-disjoint family from a tournament on the colors.
+def tournament_construction(n: int, tournament: Tournament) -> GraphFamily:
+    """Edge-disjoint family from a tournament on the colors 0..size-1.
 
     Member i gets all edges inside each block it wins (label i -> j) and all
     edges between two blocks whose labels both touch i.  Pairs of blocks
-    with disjoint labels stay uncolored, so the family is partial for r >= 3.
+    with disjoint labels stay uncolored, so the family is partial for r >= 4.
     The clique-count product is at least ``construction_value``.
     """
-    if r < 2:
-        raise ValueError("construction needs at least 2 colors")
-    if tournament.size != r:
-        raise ValueError(f"tournament has {tournament.size} vertices, expected {r}")
     label = [edge for edge, size in tournament_blocks(n, tournament) for _ in range(size)]  # blocks are consecutive
     colors = []
     for u, v in edge_list(n):
@@ -401,4 +401,4 @@ def tournament_construction(n: int, r: int, tournament: Tournament) -> GraphFami
         else:
             shared = set(label[u]) & set(label[v])
             colors.append(shared.pop() if shared else None)
-    return GraphFamily(n, r, colors)
+    return GraphFamily(n, tournament.size, colors)

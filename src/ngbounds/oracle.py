@@ -13,10 +13,10 @@ The coloring scan tabulates k(G_mask) with the same kernel and evaluates
 every coloring as array lookups, color by color; witnesses are written from
 families of their color codes, with no member graph built.
 
-Randomness is PCG64 via numpy with an explicit stream rule: a sampler
-called with ``seed`` draws from SeedSequence([seed]); trial ``i`` of a
-multi-trial run draws from SeedSequence([seed, i]).  Identical seeds give
-identical artifacts on any platform.
+Randomness is PCG64 via numpy.  Every sampler draws from the Generator its
+caller passes, and ``rng_for`` alone turns seeds into a stream: one draw uses
+rng_for([seed]), trial ``i`` of a multi-trial run rng_for([seed, i]).
+Identical seeds give identical artifacts on any platform.
 """
 
 from __future__ import annotations
@@ -25,13 +25,12 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb, gcd, log, log2
 from operator import attrgetter
-from statistics import median
 from typing import Optional
 
 import numpy as np
 
 from .counting import pi, pi_t, sigma, sigma_t
-from .graphs import Graph, edge_list, emit_graph6, parse_graph6
+from .graphs import MAX_VERTICES, Graph, edge_list, emit_graph6, parse_graph6
 from .multicolor import MAX_COLORS, GraphFamily, Tournament, emit_coloring, parse_coloring
 from .multicolor import product_clique_counts, sum_clique_counts
 
@@ -295,40 +294,32 @@ def exhaustive_coloring_extremal(n: int, r: int, quantity: str, direction: str) 
     return ExtremalRecord(n, quantity, direction, None, int(ext), witnesses, len(hits), r)
 
 
-def _graph_from_rng(n: int, rng: np.random.Generator) -> Graph:
-    m = n * (n - 1) // 2
-    bits = rng.integers(0, 2, size=m)
+def sample_random_graph(n: int, rng: np.random.Generator) -> Graph:
+    """One draw of G(n, 1/2) from ``rng``: one fair bit per ``edge_list(n)``
+    slot, in order, and the slot's edge is present when its bit is 1."""
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count must be in [0, {MAX_VERTICES}], got {n}")
+    bits = rng.integers(0, 2, size=comb(n, 2))
     return Graph.from_edge_mask(n, sum(1 << int(i) for i in np.flatnonzero(bits)))
 
 
-def sample_random_graph(n: int, seed: int) -> Graph:
-    """One draw of G(n, 1/2): each edge present independently with
-    probability 1/2.  Deterministic under the seed."""
-    if not 0 <= n <= 62:
-        raise ValueError(f"vertex count must be in [0, 62], got {n}")
-    return _graph_from_rng(n, rng_for([seed]))
-
-
-def sample_random_coloring(n: int, r: int, seed: int, partial: bool = False) -> GraphFamily:
-    """Uniform random r-coloring of the n-clique's edges.
-
-    With ``partial`` each edge may also stay uncolored (uniform over the
-    r + 1 options), which samples general edge-disjoint families.
-    """
-    if not 0 <= n <= 62:
-        raise ValueError(f"vertex count must be in [0, 62], got {n}")
+def sample_random_coloring(n: int, r: int, rng: np.random.Generator, partial: bool = False) -> GraphFamily:
+    """Uniform random r-coloring of the n-clique's edges: one draw from ``rng``
+    per ``edge_list(n)`` slot, in order.  With ``partial`` a draw of 0 leaves
+    the pair uncolored (uniform over the r + 1 options), which samples
+    general edge-disjoint families."""
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count must be in [0, {MAX_VERTICES}], got {n}")
     if r < 1:
         raise ValueError("need at least one color")
-    rng = rng_for([seed])
     lo = 0 if partial else 1
     draws = [int(rng.integers(lo, r + 1)) for _ in range(comb(n, 2))]
     return GraphFamily(n, r, [c - 1 if c else None for c in draws])
 
 
-def random_tournament(size: int, seed: int) -> Tournament:
-    """One fair bit per ``edge_list(size)`` pair, in order: 1 gives the pair
-    to its lower vertex.  Deterministic under the seed."""
-    rng = rng_for([seed])
+def random_tournament(size: int, rng: np.random.Generator) -> Tournament:
+    """One fair bit from ``rng`` per ``edge_list(size)`` pair, in order: 1
+    gives the pair to its lower vertex."""
     return Tournament(size, [i if rng.integers(0, 2) else j for i, j in edge_list(size)])
 
 
@@ -348,32 +339,16 @@ class ExponentReport:
         denom = log(self.n) * log2(self.n)
         return tuple(log(p) / denom for p in self.products)
 
-    def csv_lines(self) -> list[str]:
-        out = ["trial,pi,ratio"]
-        for i, (p, ratio) in enumerate(zip(self.products, self.ratios)):
-            out.append(f"{i},{p},{ratio:.9f}")
-        return out
-
-    def summary(self) -> dict:
-        rs = self.ratios
-        return {
-            "n": self.n,
-            "trials": len(self.products),
-            "min": min(rs),
-            "median": median(rs),
-            "max": max(rs),
-        }
-
 
 def random_pi_exponent(n: int, trials: int, seed: int) -> ExponentReport:
     """Sample G(n, 1/2) ``trials`` times and log the product exponent ratio.
 
-    Trial i uses SeedSequence([seed, i]).  Every graph size, 2 <= n <= 62,
+    Trial i draws from rng_for([seed, i]).  Every graph size, 2 <= n <= 62,
     is allowed: random graphs have only small cliques, so exact counting
     stays fast up to the 62-vertex cap.
     """
-    if not 2 <= n <= 62:
-        raise ValueError(f"exponent sampling needs 2 <= n <= 62, got {n}")
+    if not 2 <= n <= MAX_VERTICES:
+        raise ValueError(f"exponent sampling needs 2 <= n <= {MAX_VERTICES}, got {n}")
     if trials < 1:
         raise ValueError("need at least one trial")
-    return ExponentReport(n, tuple(pi(_graph_from_rng(n, rng_for([seed, i]))) for i in range(trials)))
+    return ExponentReport(n, tuple(pi(sample_random_graph(n, rng_for([seed, i]))) for i in range(trials)))

@@ -27,12 +27,13 @@ from .multicolor import (
     sum_clique_counts,
     tournament_construction,
 )
-from .oracle import _TOTAL_SCAN_MAX, _graph_from_rng, exhaustive_coloring_extremal, exhaustive_extremal
-from .oracle import random_tournament, rng_for
+from .oracle import _TOTAL_SCAN_MAX, exhaustive_coloring_extremal, exhaustive_extremal
+from .oracle import random_tournament, rng_for, sample_random_coloring, sample_random_graph
 from .packing import MAX_RECTANGLE, BorderPath, _lattice_max, discrete_border_max
 from .threshold import build, closed_form_counts, recognize
 
 MAX_COUNTEREXAMPLES = 10
+THRESHOLD_SIZES = (2, 3, 4)  # the sizes t whose closed-form counts the thresholds suite checks
 
 
 @dataclass
@@ -78,7 +79,7 @@ def verify_compression(trials: int = 10000, n_max: int = 12, seed: int = 7) -> R
     for trial in range(trials):
         rng = rng_for([seed, trial])
         n = int(rng.integers(2, n_max + 1))
-        g = _graph_from_rng(n, rng)
+        g = sample_random_graph(n, rng)
         x = int(rng.integers(n))
         y = int(rng.integers(n - 1))
         if y >= x:
@@ -119,7 +120,7 @@ def verify_compression(trials: int = 10000, n_max: int = 12, seed: int = 7) -> R
     return rep
 
 
-def verify_thresholds(trials: int = 1000, n_max: int = 16, seed: int = 11, sizes=(2, 3, 4)) -> Report:
+def verify_thresholds(trials: int = 1000, n_max: int = 16, seed: int = 11) -> Report:
     """Random codes: build/recognize round trip, complement-code identity,
     and the closed-form size counts of the recognized walk against the
     counting oracle."""
@@ -146,7 +147,7 @@ def verify_thresholds(trials: int = 1000, n_max: int = 16, seed: int = 11, sizes
             continue
 
         kp, ip = _profile_pair(g)
-        for t in sizes:
+        for t in THRESHOLD_SIZES:
             s_k, s_i = closed_form_counts(rec, t)
             want_k = kp[t] if t < len(kp) else 0
             want_i = ip[t] if t < len(ip) else 0
@@ -155,7 +156,7 @@ def verify_thresholds(trials: int = 1000, n_max: int = 16, seed: int = 11, sizes
                     f"closed form ({s_k}, {s_i}) != profile ({want_k}, {want_i}) at t={t} on {g6}",
                     g6,
                 )
-    rep.note(f"{trials} random codes, n <= {n_max}, sizes {tuple(sizes)}, seed {seed}")
+    rep.note(f"{trials} random codes, n <= {n_max}, sizes {THRESHOLD_SIZES}, seed {seed}")
     return rep
 
 
@@ -211,7 +212,7 @@ def verify_multicolor(trials: int = 100, seed: int = 23) -> Report:
         n = int(rng.integers(2, 9))
         r = int(rng.integers(2, 4))
         q = int(rng.integers(0, min(3, n) + 1))
-        fam = GraphFamily(n, r, [int(rng.integers(0, r)) for _ in range(comb(n, 2))])
+        fam = sample_random_coloring(n, r, rng)
         blob = emit_coloring(fam)
         product = product_clique_counts(fam)
 
@@ -249,8 +250,7 @@ def verify_multicolor(trials: int = 100, seed: int = 23) -> Report:
     for trial in range(trials):
         rng = rng_for([seed, 10_000 + trial])
         n = int(rng.integers(1, 7))
-        draws = [int(rng.integers(0, 4)) for _ in range(comb(n, 2))]
-        fam = GraphFamily(n, 3, [c - 1 if c else None for c in draws])
+        fam = sample_random_coloring(n, 3, rng, partial=True)
         blob = emit_coloring(fam)
         cover = count_covering_tuples(fam)
         cap = (4 * fam.r - 2) ** (fam.r * (fam.r - 1)) * n ** comb(fam.r, 2)
@@ -263,8 +263,8 @@ def verify_multicolor(trials: int = 100, seed: int = 23) -> Report:
     for r in range(2, 7):
         for k in range(5):
             n = int(rng_for([seed, 777, r, k]).integers(1, 13))
-            tour = random_tournament(r, seed + 31 * r + k)
-            fam = tournament_construction(n, r, tour)  # constructor validates edge-disjointness
+            tour = random_tournament(r, rng_for([seed + 31 * r + k]))
+            fam = tournament_construction(n, tour)  # constructor validates edge-disjointness
             if product_clique_counts(fam) < construction_value(n, tour):
                 rep.fail(f"tournament product below its floor at n={n} r={r}", emit_coloring(fam))
     rep.note("tournament constructions r in [2,6], random tournaments: disjoint, product floor holds")

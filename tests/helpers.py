@@ -7,8 +7,8 @@ from math import comb, factorial
 
 import numpy as np
 
-from ngbounds import BorderPath, ExtremalRecord, Graph, build, emit_graph6, one_turn_value, pi_t
-from ngbounds.oracle import _GRAPH_QUANTITIES, WITNESS_CAP, _graph_from_rng, _popcount64, _tables
+from ngbounds import BorderPath, ExtremalRecord, Graph, build, emit_graph6, one_turn_value, pi_t, sample_random_graph
+from ngbounds.oracle import _GRAPH_QUANTITIES, WITNESS_CAP, _popcount64, _tables
 
 
 def path_graph(n: int) -> Graph:
@@ -22,7 +22,7 @@ def cycle_graph(n: int) -> Graph:
 
 def random_graph(n: int, rng) -> Graph:
     """G(n, 1/2) drawn from ``rng``, by the library's own sampler."""
-    return _graph_from_rng(n, rng)
+    return sample_random_graph(n, rng)
 
 
 def gnp_graph(n: int, p: float, rng) -> Graph:

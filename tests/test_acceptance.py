@@ -17,11 +17,14 @@ exact numbers:
   reached up to a lower-order correction, of first order c_3 / n.
 """
 
+import io
 import re
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import product as iproduct
 from math import comb, factorial, isfinite, prod, sqrt
+from statistics import median
 
 from ngbounds import (
     Graph,
@@ -40,6 +43,7 @@ from ngbounds import (
     random_pi_exponent,
     tournament_construction,
 )
+from ngbounds.cli import main
 from ngbounds.counting import count_cliques
 from ngbounds.graphs import edge_list
 from ngbounds.multicolor import count_covering_tuples
@@ -114,7 +118,7 @@ def test_acceptance_03_compression_monotonicity():
 def test_acceptance_04_closed_form_counts():
     """10^3 random threshold codes, n <= 16, t in {2,3,4}: the closed-form
     walk sums of the recognized walk equal brute-force counts exactly."""
-    rep = verify_thresholds(trials=1000, n_max=16, seed=11, sizes=(2, 3, 4))
+    rep = verify_thresholds(trials=1000, n_max=16, seed=11)
     assert _report("04 threshold-closed-forms", rep.passed, "; ".join(rep.lines)), rep.lines
 
 
@@ -312,9 +316,9 @@ def test_acceptance_12_tournament_construction():
     125."""
     ok = True
     for n in (3, 6, 9):
-        fam = tournament_construction(n, 3, Tournament.cyclic(3))
+        fam = tournament_construction(n, Tournament.cyclic(3))
         ok &= product_clique_counts(fam) >= 2**n * (n // 3) ** 3
-    cyc = tournament_construction(3, 3, Tournament.cyclic(3))
+    cyc = tournament_construction(3, Tournament.cyclic(3))
     counts = [count_cliques(g) for g in cyc.members]
     ok &= counts == [5, 5, 5] and product_clique_counts(cyc) == 125
     assert _report("12 tournament-construction", ok)
@@ -327,8 +331,11 @@ def test_acceptance_13_advisory_asymptotics():
     second = random_pi_exponent(30, trials=50, seed=99)
     ok = first == second
     ok &= all(isfinite(x) and x > 0 for x in first.ratios)
-    ok &= len(first.csv_lines()) == 51
-    small = random_pi_exponent(10, trials=20, seed=99).summary()
-    large = random_pi_exponent(40, trials=20, seed=99).summary()
-    detail = f"median ratio n=10: {small['median']:.3f}, n=40: {large['median']:.3f} (advisory)"
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        ok &= main(["exponent", "--n", "30", "--trials", "50", "--seed", "99"]) == 0
+    ok &= len(out.getvalue().splitlines()) == 51 and err.getvalue().startswith("# n=30 trials=50 ")
+    small = median(random_pi_exponent(10, trials=20, seed=99).ratios)
+    large = median(random_pi_exponent(40, trials=20, seed=99).ratios)
+    detail = f"median ratio n=10: {small:.3f}, n=40: {large:.3f} (advisory)"
     assert _report("13 advisory-asymptotics", ok, detail)

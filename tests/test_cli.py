@@ -487,17 +487,31 @@ def test_extremal_coloring_refuses_graph_options_before_printing(capsys, extra, 
     assert code == 0 and out.splitlines()[1].split(",")[5] == "26"
 
 
+EXPONENT_CSV = """trial,pi,ratio
+0,25179,0.957817778
+1,16356,0.917041479
+2,18944,0.930925381
+3,23850,0.952692465
+4,26820,0.963785380
+"""
+EXPONENT_SUMMARY = "# n=15 trials=5 min=0.917041 median=0.952692 max=0.963785\n"
+
+
 def test_exponent_csv(tmp_path, capsys):
     out_path = tmp_path / "ratios.csv"
-    code, _, err = run(
+    code, out, err = run(
         capsys, "exponent", "--n", "15", "--trials", "5", "--seed", "9", "--out", str(out_path)
     )
-    assert code == 0
-    lines = out_path.read_text().strip().splitlines()
-    assert lines[0] == "trial,pi,ratio"
-    assert len(lines) == 6
-    assert "median=" in err
+    assert (code, out, err) == (0, "", EXPONENT_SUMMARY)
+    assert out_path.read_bytes() == EXPONENT_CSV.encode("ascii")
 
-    code, stdout, _ = run(capsys, "exponent", "--n", "15", "--trials", "5", "--seed", "9")
-    assert code == 0
-    assert stdout.strip().splitlines() == lines
+    code, stdout, err = run(capsys, "exponent", "--n", "15", "--trials", "5", "--seed", "9")
+    assert (code, stdout, err) == (0, EXPONENT_CSV, EXPONENT_SUMMARY)
+
+
+def test_readme_quick_start_runs_and_prints_what_its_comments_state(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md quick start", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["22 121", "True"]

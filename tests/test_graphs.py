@@ -26,6 +26,12 @@ def test_construction_rejects_bad_adjacency():
         Graph(2, (0b100, 0b000))  # bit outside vertex range
 
 
+@pytest.mark.parametrize("pair", [(0, 5), (0, -1), (3, 1)], ids=["past-n", "negative", "first-endpoint"])
+def test_from_edges_refuses_a_vertex_outside_the_range(pair):
+    with pytest.raises(ValueError, match=rf"edge \({pair[0]}, {pair[1]}\) has a vertex outside \[0, 3\)"):
+        Graph.from_edges(3, [(0, 1), pair])
+
+
 def test_asymmetry_error_names_the_first_pair_in_row_order():
     # (0, 2) and (1, 2) are both one-sided; (0, 2) comes first
     with pytest.raises(ValueError, match=r"^adjacency not symmetric at pair \(0, 2\)$"):

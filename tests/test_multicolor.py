@@ -30,7 +30,7 @@ from ngbounds.oracle import random_tournament, rng_for, sample_random_coloring
 
 
 def total_coloring(n, r, seed):
-    return sample_random_coloring(n, r, seed)
+    return sample_random_coloring(n, r, rng_for([seed]))
 
 
 def test_family_validation():
@@ -65,7 +65,7 @@ def test_covers_all_edges_flag():
 
 def test_coloring_text_round_trip():
     for seed in range(20):
-        fam = sample_random_coloring(6, 3, seed, partial=bool(seed % 2))
+        fam = sample_random_coloring(6, 3, rng_for([seed]), partial=bool(seed % 2))
         again = parse_coloring(emit_coloring(fam))
         assert (again.n, again.r, again.colors) == (fam.n, fam.r, fam.colors)
         assert again.members == fam.members
@@ -85,7 +85,8 @@ def test_from_colors_round_trip():
 
 def test_clique_counts_build_only_the_colors_in_use():
     for seed in range(20):
-        fam = sample_random_coloring(int(rng_for([6, seed]).integers(0, 9)), 1 + seed % 6, seed, partial=True)
+        n = int(rng_for([6, seed]).integers(0, 9))
+        fam = sample_random_coloring(n, 1 + seed % 6, rng_for([seed]), partial=True)
         assert fam.clique_counts() == [count_cliques(g) for g in fam.members]
     # 65,535 edgeless colors share one empty graph and count in closed form
     huge = GraphFamily(62, MAX_COLORS, [0] + [None] * (comb(62, 2) - 1))
@@ -244,7 +245,7 @@ def test_covering_tuple_fixtures():
 
 def test_covering_tuples_against_direct_enumeration():
     for seed in range(15):
-        fam = sample_random_coloring(4, 2, seed, partial=True)
+        fam = sample_random_coloring(4, 2, rng_for([seed]), partial=True)
         cliques = []
         for g in fam.members:
             cliques.append([s for s in range(16) if _is_clique_mask(g, s)])
@@ -287,6 +288,18 @@ def test_tournament_validation():
     assert Tournament.cyclic(3).winners == (0, 2, 1)  # 0 -> 1 -> 2 -> 0
     assert Tournament.transitive(4).winners == (0, 0, 0, 1, 1, 2)
     assert Tournament(0, []).winners == Tournament(1, []).winners == ()
+    with pytest.raises(ValueError, match="tournament size must be >= 0, got -1"):
+        Tournament(-1, [])
+    with pytest.raises(ValueError, match="tournament size must be >= 0, got -3"):
+        Tournament(-3, [])
+
+
+@pytest.mark.parametrize("size", [0, 1])
+def test_a_tournament_with_no_pair_labels_no_block(size):
+    tour = Tournament(size, [])
+    for call in (tournament_blocks, construction_value, tournament_construction):
+        with pytest.raises(ValueError, match=f"a tournament of size {size} has no pair to label a block"):
+            call(5, tour)
 
 
 def test_cyclic_tournament_follows_the_rotation_rule():
@@ -311,14 +324,14 @@ def test_tournament_blocks_split_evenly():
 
 
 def test_tournament_construction_two_colors():
-    fam = tournament_construction(6, 2, Tournament.transitive(2))
+    fam = tournament_construction(6, Tournament.transitive(2))
     assert fam.members[0] == Graph.complete(6)
     assert fam.members[1] == Graph.empty(6)
     assert product_clique_counts(fam) == 7 * 2**6
 
 
 def test_tournament_construction_three_colors():
-    fam = tournament_construction(3, 3, Tournament.cyclic(3))
+    fam = tournament_construction(3, Tournament.cyclic(3))
     # with three colors every pair of block labels shares a tournament
     # vertex, so the construction happens to color every edge
     assert fam.covers_all_edges
@@ -326,23 +339,23 @@ def test_tournament_construction_three_colors():
     assert counts == [1, 1, 1]
     assert product_clique_counts(fam) == 125
 
-    fam6 = tournament_construction(6, 3, Tournament.cyclic(3))
+    fam6 = tournament_construction(6, Tournament.cyclic(3))
     assert product_clique_counts(fam6) >= 2**6 * (6 // 3) ** 3
 
 
 def test_tournament_construction_leaves_edges_uncolored_for_four_colors():
     # labels (0,1) and (2,3) are disjoint, so edges between their blocks
     # belong to no member
-    fam = tournament_construction(12, 4, Tournament.transitive(4))
+    fam = tournament_construction(12, Tournament.transitive(4))
     assert not fam.covers_all_edges
 
 
 def test_tournament_construction_random_disjointness():
     for r in range(2, 7):
         for k in range(3):
-            tour = random_tournament(r, seed=100 * r + k)
+            tour = random_tournament(r, rng_for([100 * r + k]))
             n = 5 + r + k
-            fam = tournament_construction(n, r, tour)  # constructor checks disjointness
+            fam = tournament_construction(n, tour)  # constructor checks disjointness
             floor = 2**n * prod(1 + size for _, size in tournament_blocks(n, tour))
             assert construction_value(n, tour) == floor
             assert product_clique_counts(fam) >= floor
@@ -355,7 +368,7 @@ def test_am_gm_on_random_families():
         rng = rng_for([89, seed])
         n = int(rng.integers(1, 8))
         r = int(rng.integers(2, 4))
-        fam = sample_random_coloring(n, r, 3000 + seed, partial=True)
+        fam = sample_random_coloring(n, r, rng_for([3000 + seed]), partial=True)
         s = sum_clique_counts(fam)
         p = product_clique_counts(fam)
         assert s**r >= r**r * p  # AM-GM in integer form

@@ -24,6 +24,7 @@ from ngbounds import (
     sample_random_graph,
     sigma,
 )
+from ngbounds.cli import main
 from ngbounds.graphs import edge_list
 from ngbounds.multicolor import certificate_lower_bound
 from ngbounds.oracle import WITNESS_CAP, _mask_counts, _popcount64, _tables, rng_for
@@ -278,9 +279,9 @@ def test_coloring_work_cap_keeps_its_edge_cases():
 
 
 def test_sample_random_graph_deterministic():
-    a = sample_random_graph(20, seed=5)
-    b = sample_random_graph(20, seed=5)
-    c = sample_random_graph(20, seed=6)
+    a = sample_random_graph(20, rng_for([5]))
+    b = sample_random_graph(20, rng_for([5]))
+    c = sample_random_graph(20, rng_for([6]))
     assert a == b
     assert a != c
 
@@ -291,7 +292,7 @@ def test_sample_random_graph_density():
     n = 30
     m = n * (n - 1) // 2
     for seed in range(trials):
-        edges += sample_random_graph(n, seed).edge_count()
+        edges += sample_random_graph(n, rng_for([seed])).edge_count()
     mean = trials * m / 2
     spread = 3 * math.sqrt(trials * m * 0.25)
     assert abs(edges - mean) <= spread
@@ -303,7 +304,7 @@ def test_sample_random_coloring_frequencies():
     counts = [0] * r
     trials = 60
     for seed in range(trials):
-        fam = sample_random_coloring(n, r, seed)
+        fam = sample_random_coloring(n, r, rng_for([seed]))
         assert fam.covers_all_edges
         for idx, g in enumerate(fam.members):
             counts[idx] += g.edge_count()
@@ -313,33 +314,89 @@ def test_sample_random_coloring_frequencies():
 
 
 def test_sample_partial_coloring():
-    fam = sample_random_coloring(10, 2, seed=1, partial=True)
+    fam = sample_random_coloring(10, 2, rng_for([1]), partial=True)
     assert not fam.covers_all_edges  # 45 edges all colored has probability ~1e-8
 
 
+def test_samplers_refuse_sizes_outside_their_range():
+    for n in (-1, 63):
+        with pytest.raises(ValueError, match=rf"vertex count must be in \[0, 62\], got {n}"):
+            sample_random_graph(n, rng_for([0]))
+        with pytest.raises(ValueError, match=rf"vertex count must be in \[0, 62\], got {n}"):
+            sample_random_coloring(n, 2, rng_for([0]))
+    with pytest.raises(ValueError, match="need at least one color"):
+        sample_random_coloring(3, 0, rng_for([0]))
+    with pytest.raises(ValueError, match="tournament size must be >= 0"):
+        random_tournament(-1, rng_for([0]))
+
+
+def test_random_graph_draws_one_bit_per_slot_in_edge_list_order():
+    for seed in range(6):
+        for n in range(13):
+            rng = rng_for([seed])
+            edges = [pair for pair in edge_list(n) if rng.integers(0, 2)]
+            assert sample_random_graph(n, rng_for([seed])) == Graph.from_edges(n, edges)
+
+
+def test_random_coloring_draws_one_color_per_slot_in_edge_list_order():
+    for seed in range(6):
+        for n in range(13):
+            for r in range(1, 6):
+                for partial in (False, True):
+                    rng = rng_for([seed])
+                    lines = [f"{n} {r}"]
+                    for u, v in edge_list(n):
+                        c = int(rng.integers(0 if partial else 1, r + 1))
+                        if c:
+                            lines.append(f"{u} {v} {c}")
+                    want = parse_coloring("\n".join(lines))
+                    assert sample_random_coloring(n, r, rng_for([seed]), partial=partial) == want
+
+
+def test_random_coloring_consumes_the_stream_like_the_family_draws_it_replaced():
+    # verify_multicolor once drew its families inline; the sampler must leave
+    # each trial's generator where those draws did, so later draws still match
+    for seed in range(6):
+        for n in range(13):
+            for r in range(1, 6):
+                ours, inline = rng_for([seed]), rng_for([seed])
+                fam = sample_random_coloring(n, r, ours)
+                assert fam.colors == tuple(int(inline.integers(0, r)) for _ in edge_list(n))
+                assert ours.bit_generator.state == inline.bit_generator.state
+            ours, inline = rng_for([seed]), rng_for([seed])
+            fam = sample_random_coloring(n, 3, ours, partial=True)
+            draws = [int(inline.integers(0, 4)) for _ in edge_list(n)]
+            assert fam.colors == tuple(c - 1 if c else None for c in draws)
+            assert ours.bit_generator.state == inline.bit_generator.state
+
+
 def test_random_tournament_deterministic():
-    assert random_tournament(6, seed=4) == random_tournament(6, seed=4)
+    assert random_tournament(6, rng_for([4])) == random_tournament(6, rng_for([4]))
 
 
 def test_random_tournament_draws_one_bit_per_pair_in_nested_order():
-    for r in range(2, 8):
+    for r in range(13):
         for seed in range(6):
             rng = rng_for([seed])
             want = [i if rng.integers(0, 2) else j for i in range(r) for j in range(i + 1, r)]
-            assert list(random_tournament(r, seed).winners) == want
+            assert list(random_tournament(r, rng_for([seed])).winners) == want
 
 
-def test_random_pi_exponent():
+def test_random_pi_exponent(capsys):
     rep = random_pi_exponent(20, trials=20, seed=123)
     again = random_pi_exponent(20, trials=20, seed=123)
     assert rep == again
     assert len(rep.ratios) == 20
     assert all(math.isfinite(x) and x > 0 for x in rep.ratios)
-    lines = rep.csv_lines()
+    assert main(["exponent", "--n", "20", "--trials", "20", "--seed", "123"]) == 0
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
     assert lines[0] == "trial,pi,ratio"
     assert len(lines) == 21
-    summary = rep.summary()
-    assert summary["min"] <= summary["median"] <= summary["max"]
+    assert lines[1:] == [f"{i},{p},{x:.9f}" for i, (p, x) in enumerate(zip(rep.products, rep.ratios))]
+    summary = dict(field.split("=") for field in err.split()[1:])
+    assert (summary["n"], summary["trials"]) == ("20", "20")
+    assert float(summary["min"]) <= float(summary["median"]) <= float(summary["max"])
     with pytest.raises(ValueError):
         random_pi_exponent(1, 5, 0)
     with pytest.raises(ValueError, match="exponent sampling"):
