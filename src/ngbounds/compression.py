@@ -63,7 +63,7 @@ def compress(g: Graph, x: int, y: int) -> Graph:
     return Graph(g.n, tuple(rows)) if _move(rows, x, y) else g
 
 
-def _next_pivot(rows: list[int], degs: list[int]) -> tuple[int, int] | None:
+def _next_pivot(rows: list[int], degs: list[int], clean: int, changed: int) -> tuple[int, int] | None:
     """Smallest applicable pivot (source, target) of the bit-rows ``rows`` with
     degrees ``degs``, or None when the graph is already threshold.
 
@@ -76,10 +76,22 @@ def _next_pivot(rows: list[int], degs: list[int]) -> tuple[int, int] | None:
     target of the pair {s, w}.  An applicable pair has one orientation, so
     the first hit is the lexicographically smallest applicable oriented
     pair: the pivot a scan of every pair picks, so traces are reproducible.
+
+    The caller promises that no source below ``clean`` has an applicable
+    target outside the vertex mask ``changed``; ``clean = changed = 0``
+    promises nothing and scans every pair.  After pivot (x, y) moved the
+    set M, passing ``clean = x`` and ``changed = M | {x, y}`` keeps that
+    promise: the scan that found (x, y) saw no hit for any source below x,
+    and the move rewrote only the rows of M, x and y and the degrees of x
+    and y, so a pair with neither vertex in ``changed`` is as inapplicable
+    as before.  Such a source s < x outside ``changed`` tries only the
+    targets in ``changed``, still in increasing order, and every other
+    source tries all; the first hit is the same smallest pair.
     """
+    touched = [(w, (rows[w], degs[w])) for w in iter_bits(changed)]
     for s, (row_s, deg_s) in enumerate(zip(rows, degs)):
         not_s = ~row_s & ~(1 << s)
-        for w, (row_w, deg_w) in enumerate(zip(rows, degs)):
+        for w, (row_w, deg_w) in touched if s < clean and not changed >> s & 1 else enumerate(zip(rows, degs)):
             if (deg_w > deg_s or (deg_w == deg_s and w < s)) and row_w & not_s and row_s & ~row_w & ~(1 << w):
                 return s, w
     return None
@@ -95,10 +107,13 @@ def compress_to_threshold(g: Graph) -> tuple[Graph, list[tuple[int, int]]]:
     rows = list(g.adj)
     degs = [row.bit_count() for row in rows]
     pivots: list[tuple[int, int]] = []
-    while (pivot := _next_pivot(rows, degs)) is not None:
+    clean = changed = 0
+    while (pivot := _next_pivot(rows, degs, clean, changed)) is not None:
         x, y = pivot
-        k = _move(rows, x, y).bit_count()  # a moved vertex swaps x for y: its degree stays
+        moved = _move(rows, x, y)
+        k = moved.bit_count()  # a moved vertex swaps x for y: its degree stays
         degs[x] -= k
         degs[y] += k
         pivots.append(pivot)
+        clean, changed = x, moved | 1 << x | 1 << y
     return Graph(g.n, tuple(rows)), pivots

@@ -23,14 +23,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, gcd, log, log2
+from math import comb, gcd, log, log2, prod
 from operator import attrgetter
 from typing import Optional
 
 import numpy as np
 
 from .counting import pi, pi_t, sigma, sigma_t
-from .graphs import MAX_VERTICES, Graph, edge_list, emit_graph6, parse_graph6
+from .graphs import MAX_VERTICES, Graph, edge_list, emit_graph6, iter_bits, parse_graph6
 from .multicolor import MAX_COLORS, GraphFamily, Tournament, emit_coloring, parse_coloring
 from .multicolor import product_clique_counts, sum_clique_counts
 
@@ -247,8 +247,11 @@ def exhaustive_coloring_extremal(n: int, r: int, quantity: str, direction: str) 
     Code x colors slot s with digit x // r^s % r; witnesses come in code order.
     The graph scan's kernel tabulates K[mask] = k(G_mask) for all 2^m masks, a
     color's mask joins digit tables of the low m // 2 slots and the rest, and
-    a coloring's value sums or multiplies its r lookups: int64 where it fits
-    (counts are <= 2^n, so products need n r <= 62), else exact ints.  A lone
+    a coloring's value sums or multiplies its r lookups in int64 where it fits
+    (counts are <= 2^n, so products need n r <= 62).  Past that, the scan
+    counts how many colors of each code have each of the 2^m masks and takes
+    the exact product of K[mask]^count once per distinct count vector: one
+    per set partition of the m slots, so few.  A lone
     coloring (r = 1, whose table would need 2^m entries, or n <= 1) uses the
     counting engine.
 
@@ -275,23 +278,38 @@ def exhaustive_coloring_extremal(n: int, r: int, quantity: str, direction: str) 
         fam = GraphFamily(n, r, [0] * m)
         return ExtremalRecord(n, quantity, direction, None, evaluate(fam), (emit_coloring(fam),), 1, r)
     # one shard: every block is whole rows, so the blocks run in mask order
-    kcnt = np.concatenate([k.ravel() for _, _, k, _ in _mask_counts(*_tables(n, None), 1, 0)])
-    table = kcnt.astype(np.int64 if quantity == "sum" or n * r <= 62 else object)
+    kcnt = np.concatenate([k.ravel() for _, _, k, _ in _mask_counts(*_tables(n, None), 1, 0)]).astype(np.int64)
     low = m // 2
     bits = np.int64(1) << np.arange(m, dtype=np.int64)
     lo_digits = np.arange(r**low)[:, None] // r ** np.arange(low) % r
     hi_digits = np.arange(r ** (m - low))[:, None] // r ** np.arange(m - low) % r
-    vals = np.full(r**m, combine.identity, dtype=table.dtype)
-    for c in range(r):
-        # code = hi * r^low + lo, so the hi index is the outer one
-        mask = ((hi_digits == c) @ bits[low:])[:, None] | (lo_digits == c) @ bits[:low]
-        combine(vals, table[mask.ravel()], out=vals)
-    ext = vals.max() if direction == "max" else vals.min()
-    hits = np.flatnonzero(vals == ext)
+    # each color's mask in every code; code = hi * r^low + lo, so the hi index is the outer one
+    color_masks = ((((hi_digits == c) @ bits[low:])[:, None] | (lo_digits == c) @ bits[:low]).ravel() for c in range(r))
+    if quantity == "sum" or n * r <= 62:
+        vals = np.full(r**m, combine.identity, dtype=np.int64)
+        for mask in color_masks:
+            combine(vals, kcnt[mask], out=vals)
+        ext = int(vals.max() if direction == "max" else vals.min())
+        hits = np.flatnonzero(vals == ext)
+    else:
+        # past int64 (n <= 3 under the cap, so 2^m <= 8 masks): distinct
+        # colors hit disjoint masks, so each nonempty mask is hit at most
+        # once, and a code's set of nonempty hit masks, one bit each, gives
+        # every count: the other colors hit the empty mask.  The exact
+        # product is taken once per distinct set.
+        hit = np.zeros(r**m, dtype=np.int64)
+        for mask in color_masks:
+            hit |= np.int64(1) << mask
+        hit_sets, inverse = np.unique(hit & ~1, return_inverse=True)
+        products = [
+            int(kcnt[0]) ** (r - hs.bit_count()) * prod(int(kcnt[v]) for v in iter_bits(hs)) for hs in map(int, hit_sets)
+        ]
+        ext = max(products) if direction == "max" else min(products)
+        hits = np.flatnonzero(np.isin(inverse.ravel(), [i for i, v in enumerate(products) if v == ext]))
     witnesses = tuple(
         emit_coloring(GraphFamily(n, r, [int(code) // r**s % r for s in range(m)])) for code in hits[:WITNESS_CAP]
     )
-    return ExtremalRecord(n, quantity, direction, None, int(ext), witnesses, len(hits), r)
+    return ExtremalRecord(n, quantity, direction, None, ext, witnesses, len(hits), r)
 
 
 def sample_random_graph(n: int, rng: np.random.Generator) -> Graph:

@@ -1,5 +1,6 @@
-"""Small graph builders, walk and packing oracles, and exact polynomial
-certificates shared across test modules."""
+"""Small graph builders, walk, packing and pivot oracles, exact polynomial
+certificates, and the scans the fast paths replaced, shared across test
+modules."""
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -7,8 +8,9 @@ from math import comb, factorial
 
 import numpy as np
 
-from ngbounds import BorderPath, ExtremalRecord, Graph, build, emit_graph6, one_turn_value, pi_t, sample_random_graph
-from ngbounds.oracle import _GRAPH_QUANTITIES, WITNESS_CAP, _popcount64, _tables
+from ngbounds import BorderPath, ExtremalRecord, Graph, GraphFamily, build, emit_coloring, emit_graph6, one_turn_value
+from ngbounds import pi_t, sample_random_graph
+from ngbounds.oracle import _GRAPH_QUANTITIES, WITNESS_CAP, _mask_counts, _popcount64, _tables
 
 
 def path_graph(n: int) -> Graph:
@@ -34,6 +36,18 @@ def gnp_graph(n: int, p: float, rng) -> Graph:
             if hit:
                 mask |= 1 << i
     return Graph.from_edge_mask(n, mask)
+
+
+def full_scan_pivot(rows, degs):
+    """The pivot search with no carried state: ``_next_pivot`` as it was
+    before it learnt to rescan only the pairs the last pivot touched.  For
+    s = 0, 1, ... it tries every w as the target of the pair {s, w}."""
+    for s, (row_s, deg_s) in enumerate(zip(rows, degs)):
+        not_s = ~row_s & ~(1 << s)
+        for w, (row_w, deg_w) in enumerate(zip(rows, degs)):
+            if (deg_w > deg_s or (deg_w == deg_s and w < s)) and row_w & not_s and row_s & ~row_w & ~(1 << w):
+                return s, w
+    return None
 
 
 def walk(code: str) -> BorderPath:
@@ -274,3 +288,29 @@ def extremal_by_gather(n: int, quantity: str, direction: str, t=None, shards: in
                 masks.append(first + int(idx) * shards)
     witnesses = tuple(emit_graph6(Graph.from_edge_mask(n, mk)) for mk in masks)
     return ExtremalRecord(n, quantity, direction, t, best, witnesses, total_wit)
+
+
+# The per-color loop over exact ints the counted products replaced, kept as their oracle.
+
+
+def coloring_product_by_color_loop(n: int, r: int, direction: str):
+    """``exhaustive_coloring_extremal(n, r, "product", direction)`` by
+    multiplying every code's r table lookups, one color at a time, in an
+    object array of exact ints."""
+    m = n * (n - 1) // 2
+    kcnt = np.concatenate([k.ravel() for _, _, k, _ in _mask_counts(*_tables(n, None), 1, 0)])
+    table = kcnt.astype(object)
+    low = m // 2
+    bits = np.int64(1) << np.arange(m, dtype=np.int64)
+    lo_digits = np.arange(r**low)[:, None] // r ** np.arange(low) % r
+    hi_digits = np.arange(r ** (m - low))[:, None] // r ** np.arange(m - low) % r
+    vals = np.full(r**m, 1, dtype=object)
+    for c in range(r):
+        mask = ((hi_digits == c) @ bits[low:])[:, None] | (lo_digits == c) @ bits[:low]
+        vals *= table[mask.ravel()]
+    ext = vals.max() if direction == "max" else vals.min()
+    hits = np.flatnonzero(vals == ext)
+    witnesses = tuple(
+        emit_coloring(GraphFamily(n, r, [int(code) // r**s % r for s in range(m)])) for code in hits[:WITNESS_CAP]
+    )
+    return ExtremalRecord(n, "product", direction, None, int(ext), witnesses, len(hits), r)

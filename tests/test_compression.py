@@ -16,11 +16,11 @@ from ngbounds import (
     parse_graph6,
     pi,
 )
-from ngbounds.compression import _next_pivot
+from ngbounds.compression import _move, _next_pivot
 from ngbounds.oracle import rng_for
 from ngbounds.threshold import build, recognize
 
-from helpers import cycle_graph, gnp_graph, random_graph, walk
+from helpers import cycle_graph, full_scan_pivot, gnp_graph, random_graph, walk
 
 TRACE_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / "compress_trace"
 
@@ -192,11 +192,27 @@ def test_c4_and_c5_pivot_lists():
 
 
 def test_next_pivot_on_rows():
+    # clean = changed = 0 promises nothing: a scan of every pair
     # P_3 is threshold: the edge 01 makes 1 adjacent to 0, not a private neighbor of 0
-    assert _next_pivot([0b010, 0b101, 0b010], [1, 2, 1]) is None
-    assert _next_pivot(list(cycle_graph(4).adj), [2, 2, 2, 2]) == (1, 0)
+    assert _next_pivot([0b010, 0b101, 0b010], [1, 2, 1], 0, 0) is None
+    assert _next_pivot(list(cycle_graph(4).adj), [2, 2, 2, 2], 0, 0) == (1, 0)
     # the degrees decide the orientation: with deg 0 < deg 1 vertex 0 is the source
-    assert _next_pivot(list(cycle_graph(4).adj), [1, 2, 2, 2]) == (0, 1)
+    assert _next_pivot(list(cycle_graph(4).adj), [1, 2, 2, 2], 0, 0) == (0, 1)
+
+
+def test_next_pivot_restricted_scan_finds_a_pair_made_by_the_last_pivot():
+    g = Graph.from_edge_mask(5, 193)
+    rows = list(g.adj)
+    degs = [row.bit_count() for row in rows]
+    assert _next_pivot(rows, degs, 0, 0) == (2, 0)
+    moved = _move(rows, 2, 0)
+    assert moved == 0b1000
+    degs = [row.bit_count() for row in rows]
+    # source 1 had no applicable target before the pivot and its row did not
+    # change; (1, 0) applies now only because the pivot rewrote row 0
+    assert _next_pivot(rows, degs, 2, moved | 0b101) == (1, 0) == full_scan_pivot(rows, degs)
+    # with 0 left out of the changed set the restricted scan never tries it
+    assert _next_pivot(rows, degs, 2, moved | 0b100) != (1, 0)
 
 
 def test_pivot_search_matches_full_scan_on_seeded_graphs():
@@ -204,6 +220,23 @@ def test_pivot_search_matches_full_scan_on_seeded_graphs():
         for p in (0.1, 0.3, 0.5, 0.7, 0.9):
             g = gnp_graph(n, p, rng_for([53, n, int(p * 10)]))
             assert compress_to_threshold(g) == _full_scan_compress_to_threshold(g), (n, p)
+
+
+def test_pivot_search_matches_full_scan_pivot_by_pivot_past_thirty_vertices():
+    # the carried (clean, changed) state restricts the most sources on large
+    # graphs; each pivot of the trace must be the one a scan of every pair picks
+    for n in (31, 40, 50, 62):
+        for p in (0.1, 0.3, 0.5, 0.7, 0.9):
+            g = gnp_graph(n, p, rng_for([59, n, int(p * 10)]))
+            final, pivots = compress_to_threshold(g)
+            rows = list(g.adj)
+            degs = [row.bit_count() for row in rows]
+            for step, pivot in enumerate(pivots):
+                assert full_scan_pivot(rows, degs) == pivot, (n, p, step)
+                _move(rows, *pivot)
+                degs = [row.bit_count() for row in rows]
+            assert full_scan_pivot(rows, degs) is None, (n, p)
+            assert tuple(rows) == final.adj, (n, p)
 
 
 @pytest.mark.parametrize("name", ["g01", "g02", "g03", "g04"])

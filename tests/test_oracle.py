@@ -29,7 +29,7 @@ from ngbounds.graphs import edge_list
 from ngbounds.multicolor import certificate_lower_bound
 from ngbounds.oracle import WITNESS_CAP, _mask_counts, _popcount64, _tables, rng_for
 
-from helpers import extremal_by_gather
+from helpers import coloring_product_by_color_loop, extremal_by_gather
 
 
 def test_exhaustive_pi_max_small():
@@ -241,6 +241,15 @@ def test_coloring_scan_matches_the_per_coloring_loop(n, r):
     for (quantity, direction), want in _loop_coloring_records(n, r).items():
         got = exhaustive_coloring_extremal(n, r, quantity, direction)
         assert got == want
+        assert type(got.value) is int
+
+
+@pytest.mark.parametrize("n,r", [(2, r) for r in range(32, 65)] + [(3, r) for r in range(21, 26)])
+def test_coloring_products_past_int64_match_the_per_color_loop(n, r):
+    assert n * r > 62  # every case takes the counted exact path
+    for direction in ("max", "min"):
+        got = exhaustive_coloring_extremal(n, r, "product", direction)
+        assert got == coloring_product_by_color_loop(n, r, direction)
         assert type(got.value) is int
 
 

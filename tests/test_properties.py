@@ -1,5 +1,6 @@
 """Property tests (hypothesis, derandomized so every run draws the same cases)."""
 
+from itertools import zip_longest
 from math import comb
 
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from ngbounds import (
     clique_profile,
     closed_form_counts,
     complement,
+    compress,
     emit_coloring,
     emit_graph6,
     independent_profile,
@@ -137,3 +139,21 @@ def test_mutated_coloring_round_trips_or_is_refused(text):
         assert 1 <= err.line <= max(1, len(text.splitlines()))
         return
     assert parse_coloring(emit_coloring(fam)) == fam
+
+
+def _at_least_at_every_size(low, high) -> bool:
+    """Whether ``high`` is at least ``low`` entry by entry, a missing size
+    counting as zero."""
+    return all(a <= b for a, b in zip_longest(low, high, fillvalue=0))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(graphs(n_max=12))
+def test_compression_never_lowers_a_count_of_any_size(g):
+    cliques, independents = clique_profile(g).by_size, independent_profile(g).by_size
+    for x in range(g.n):
+        for y in range(g.n):
+            if x != y:
+                out = compress(g, x, y)
+                assert _at_least_at_every_size(cliques, clique_profile(out).by_size), (x, y)
+                assert _at_least_at_every_size(independents, independent_profile(out).by_size), (x, y)
