@@ -79,14 +79,28 @@ def _next_pivot(rows: list[int], degs: list[int], clean: int, changed: int) -> t
 
     The caller promises that no source below ``clean`` has an applicable
     target outside the vertex mask ``changed``; ``clean = changed = 0``
-    promises nothing and scans every pair.  After pivot (x, y) moved the
-    set M, passing ``clean = x`` and ``changed = M | {x, y}`` keeps that
-    promise: the scan that found (x, y) saw no hit for any source below x,
-    and the move rewrote only the rows of M, x and y and the degrees of x
-    and y, so a pair with neither vertex in ``changed`` is as inapplicable
-    as before.  Such a source s < x outside ``changed`` tries only the
-    targets in ``changed``, still in increasing order, and every other
-    source tries all; the first hit is the same smallest pair.
+    promises nothing and scans every pair.  Such a source s < ``clean``
+    outside ``changed`` tries only the targets in ``changed``, still in
+    increasing order, and every other source tries all; the first hit is
+    the same smallest pair.
+
+    After pivot (x, y) moved the set M, ``clean = x`` and ``changed = {y}``
+    keep that promise.  The scan that found (x, y) saw no hit for any
+    source below x, and the move rewrote only the rows of M, x and y and
+    the degrees of x and y, so only a pair touching M, x or y can have
+    become applicable, and neither x nor M gives a source s < x, s != y,
+    a new one:
+    - x: its degree only fell, so s meets x as a target only if it did
+      before, and x's own private neighbours only shrank.  Before the
+      pivot (s, x) was not applicable and x had the larger degree, so N(s)
+      lay inside N[x]; s needs a new private neighbour against x, one in
+      M, or y once s itself moved and x, y are not adjacent.  Either way
+      (s, y) was applicable before the pivot, and the scan would have
+      stopped at s.
+    - m in M: m swapped x for y, and a vertex outside M | {x, y} that is
+      adjacent to x is adjacent to y, so the swap can only make a pair of
+      m with such a vertex inapplicable; two moved vertices see x and y
+      alike.
     """
     touched = [(w, (rows[w], degs[w])) for w in iter_bits(changed)]
     for s, (row_s, deg_s) in enumerate(zip(rows, degs)):
@@ -115,5 +129,5 @@ def compress_to_threshold(g: Graph) -> tuple[Graph, list[tuple[int, int]]]:
         degs[x] -= k
         degs[y] += k
         pivots.append(pivot)
-        clean, changed = x, moved | 1 << x | 1 << y
+        clean, changed = x, 1 << y
     return Graph(g.n, tuple(rows)), pivots

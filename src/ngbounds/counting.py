@@ -2,8 +2,12 @@
 
 ``clique_profile`` counts the cliques of every size on the succinct clique
 tree of Jain and Seshadhri (WSDM 2020), walked on bit-rows with no memo.
-``profile_by_scan`` classifies all 2^n subsets directly and is kept as the
-independent oracle; the two paths share no code.
+The walk stops at a candidate set of at most 3 vertices and tallies its
+cliques in closed form.  It takes the rows alone, so ``independent_profile``
+counts on the complemented rows and builds no complement ``Graph``, and the
+verify suites count on rows they rewrite in place.  ``profile_by_scan``
+classifies all 2^n subsets directly and is kept as the independent oracle;
+the two paths share no code.
 
 Counts are Python ints (arbitrary precision): k(K_62) = 2^62 already
 overflows 64 bits once multiplied into the product quantity.
@@ -15,9 +19,10 @@ independent sets, so by_size[0] = 1 and by_size[1] = n for every graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 
-from .graphs import MAX_VERTICES, Graph, complement
+from .graphs import Graph, complement_rows
 
 
 @dataclass(frozen=True)
@@ -34,21 +39,31 @@ class CliqueProfile:
         return self.by_size[t] if 0 <= t < len(self.by_size) else 0
 
 
-_BINOM = tuple(tuple(comb(q, j) for j in range(q + 1)) for q in range(MAX_VERTICES + 1))
+# A leaf's candidate set of s <= 3 vertices and e edges, by its slot s + e + (s > 2)
+# among the 8 slots of a leaf key; it holds 1 + s x + e x^2 + [e = 3] x^3 cliques.
+_LEAF_SETS = ((0, 0), (1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2), (3, 3))
 
 
-def clique_profile(g: Graph) -> CliqueProfile:
-    """Exact clique counts of every size, from the succinct clique tree.
+@cache
+def _leaf_poly(key: int) -> tuple[int, ...]:
+    """(1 + x)^q (1 + s x + e x^2 + [e = 3] x^3) for key = 8 q + slot: the
+    cliques of a leaf with q pivots, less its holds."""
+    pivots, slot = divmod(key, 8)
+    s, e = _LEAF_SETS[slot]
+    poly = [c for c in (1, s, e, int(e == 3)) if c]
+    return tuple(sum(c * comb(pivots, i - j) for j, c in enumerate(poly[: i + 1])) for i in range(pivots + len(poly)))
 
-    A clique in the candidate set C either misses every non-neighbour of the
-    max-degree pivot p, so it lies in C & N(p) plus optionally p, or it holds
-    its first non-neighbour v of p and lies in C & N(v) minus those before v.
-    A leaf with h holds and q pivots stands for C(q, j) cliques of size h + j."""
-    rows, width = g.adj, g.n + 1
-    leaves = [0] * (width * width)
 
-    def walk(cand: int, holds: int, pivots: int) -> None:
-        while cand:
+def _tree_profile(rows) -> tuple[int, ...]:
+    """Clique counts of every size of the graph with bit-rows ``rows``, from
+    the succinct clique tree (see ``clique_profile``)."""
+    n = len(rows)
+    width = n + 1
+    step = 8 * width
+    leaves: dict[int, int] = {}  # holds * step + 8 * pivots + slot -> leaf count
+
+    def walk(cand: int, key: int) -> None:
+        while cand.bit_count() > 3:
             best, m = -1, cand
             while m:
                 low = m & -m
@@ -62,29 +77,47 @@ def clique_profile(g: Graph) -> CliqueProfile:
             while rest:
                 low = rest & -rest
                 rest ^= low
-                sub = cand & rows[low.bit_length() - 1]
-                if sub & (sub - 1):
-                    walk(sub, holds + 1, pivots)
-                else:  # at most one candidate left: the leaf is known
-                    leaves[(holds + 1) * width + pivots + (sub != 0)] += 1
+                walk(cand & rows[low.bit_length() - 1], key + step)
                 cand ^= low
             cand &= row
-            pivots += 1
-        leaves[holds * width + pivots] += 1
+            key += 8
+        s = e = 0
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            s += 1
+            e += (rows[low.bit_length() - 1] & cand).bit_count()
+        key += s + e + (s > 2)
+        leaves[key] = leaves.get(key, 0) + 1
 
-    walk(g.vertex_mask, 0, 0)
+    walk((1 << n) - 1, 0)
     by_size = [0] * width
-    for key, cnt in enumerate(leaves):
-        if cnt:
-            holds, pivots = divmod(key, width)
-            for j, c in enumerate(_BINOM[pivots]):
-                by_size[holds + j] += cnt * c
-    return CliqueProfile(tuple(by_size))
+    for key, cnt in leaves.items():
+        holds, key = divmod(key, step)
+        for i, c in enumerate(_leaf_poly(key), holds):
+            by_size[i] += cnt * c
+    return tuple(by_size)
+
+
+def clique_profile(g: Graph) -> CliqueProfile:
+    """Exact clique counts of every size, from the succinct clique tree.
+
+    A clique in the candidate set C either misses every non-neighbour of the
+    max-degree pivot p, so it lies in C & N(p) plus optionally p, or it holds
+    its first non-neighbour v of p and lies in C & N(v) minus those before v.
+    A leaf with h holds and q pivots stands for the cliques of its last
+    candidate set, each with any of the q pivots and all h holds added.  The
+    walk stops at a set of s <= 3 vertices with e edges, which holds
+    1 + s x + e x^2 + [e = 3] x^3 cliques, so the leaf adds
+    x^h (1 + x)^q (1 + s x + e x^2 + [e = 3] x^3) to the profile.  Leaves are
+    tallied by (h, q, s, e) and expanded once at the end."""
+    return CliqueProfile(_tree_profile(g.adj))
 
 
 def independent_profile(g: Graph) -> CliqueProfile:
-    """by_size[t] = number of t-vertex independent sets (cliques of the complement)."""
-    return clique_profile(complement(g))
+    """by_size[t] = number of t-vertex independent sets: the cliques of the
+    complemented rows."""
+    return CliqueProfile(_tree_profile(complement_rows(g.adj)))
 
 
 def profile_by_scan(g: Graph) -> CliqueProfile:

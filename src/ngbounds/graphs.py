@@ -155,10 +155,15 @@ class Graph:
         return mask
 
 
+def complement_rows(rows) -> list[int]:
+    """The bit-rows of the complement of the graph with bit-rows ``rows``."""
+    full = (1 << len(rows)) - 1
+    return [(full ^ row) & ~(1 << v) for v, row in enumerate(rows)]
+
+
 def complement(g: Graph) -> Graph:
     """Edge uv present iff absent in ``g``.  Involution."""
-    full = g.vertex_mask
-    return Graph(g.n, tuple((full ^ row) & ~(1 << v) for v, row in enumerate(g.adj)))
+    return Graph(g.n, tuple(complement_rows(g.adj)))
 
 
 def is_clique(g: Graph, s: int) -> bool:

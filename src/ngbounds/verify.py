@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb, factorial, prod
 
-from .compression import compress, compress_to_threshold
-from .counting import clique_profile, independent_profile
-from .graphs import MAX_VERTICES, Graph, complement, emit_graph6
+from .compression import _move, compress_to_threshold
+from .counting import _tree_profile
+from .graphs import MAX_VERTICES, Graph, complement_rows, emit_graph6
 from .multicolor import (
     GraphFamily,
     construction_value,
@@ -61,8 +61,9 @@ def _check(suite: str, name: str, value: int, lo: int, hi: int | None = None) ->
         raise ValueError(f"--{name.replace('_', '-')}: the {suite} suite needs {need}, got {value}")
 
 
-def _profile_pair(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    return clique_profile(g).by_size, independent_profile(g).by_size
+def _profile_pair(rows) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Clique and independent-set counts of every size of the bit-rows ``rows``."""
+    return _tree_profile(rows), _tree_profile(complement_rows(rows))
 
 
 def _pointwise_le(lo: tuple[int, ...], hi: tuple[int, ...]) -> bool:
@@ -71,7 +72,9 @@ def _pointwise_le(lo: tuple[int, ...], hi: tuple[int, ...]) -> bool:
 
 def verify_compression(trials: int = 10000, n_max: int = 12, seed: int = 7) -> Report:
     """Monotonicity of every fixed-size count under one compression, and of
-    the product quantities along the whole pivot trace to a threshold graph."""
+    the product quantities along the whole pivot trace to a threshold graph.
+    Both are replayed with ``_move`` on one list of bit-rows and counted on
+    those rows, so no graph is rebuilt or revalidated per step."""
     _check("compression", "n_max", n_max, 2, MAX_VERTICES)
     _check("compression", "trials", trials, 1)
     rep = Report("compression")
@@ -86,9 +89,10 @@ def verify_compression(trials: int = 10000, n_max: int = 12, seed: int = 7) -> R
             y += 1
         g6 = emit_graph6(g)
 
-        squeezed = compress(g, x, y)
-        kg, ig = _profile_pair(g)
-        ks, is_ = _profile_pair(squeezed)
+        kg, ig = _profile_pair(g.adj)
+        rows = list(g.adj)
+        _move(rows, x, y)
+        ks, is_ = _profile_pair(rows)
         if not (_pointwise_le(ig, is_) and _pointwise_le(kg, ks)):
             rep.fail(f"size count dropped under compress({x}->{y}) on {g6}", g6)
             continue
@@ -101,12 +105,12 @@ def verify_compression(trials: int = 10000, n_max: int = 12, seed: int = 7) -> R
         if recognize(final) is None:
             rep.fail(f"compress_to_threshold output of {g6} is not threshold", g6)
             continue
-        cur = g
+        rows = list(g.adj)
         cur_k, cur_i = kg, ig
         ok = True
         for px, py in pivots:
-            cur = compress(cur, px, py)
-            nxt_k, nxt_i = _profile_pair(cur)
+            _move(rows, px, py)
+            nxt_k, nxt_i = _profile_pair(rows)
             if sum(nxt_k) * sum(nxt_i) < sum(cur_k) * sum(cur_i) or any(
                 a * b < c * d for a, b, c, d in zip(nxt_k, nxt_i, cur_k, cur_i)
             ):
@@ -114,7 +118,7 @@ def verify_compression(trials: int = 10000, n_max: int = 12, seed: int = 7) -> R
                 ok = False
                 break
             cur_k, cur_i = nxt_k, nxt_i
-        if ok and cur != final:
+        if ok and tuple(rows) != final.adj:
             rep.fail(f"replaying the pivot list of {g6} does not reproduce the output", g6)
     rep.note(f"{trials} trials, n <= {n_max}, seed {seed}; max pivot count {max_pivots_seen}")
     return rep
@@ -139,14 +143,14 @@ def verify_thresholds(trials: int = 1000, n_max: int = 16, seed: int = 11) -> Re
         if rec is None:
             rep.fail(f"built graph {g6} not recognized as threshold", g6)
             continue
-        if sorted(g.degree(v) for v in range(n)) != sorted(build(rec).degree(v) for v in range(n)):
+        if sorted(map(int.bit_count, g.adj)) != sorted(map(int.bit_count, build(rec).adj)):
             rep.fail(f"recognized code rebuilds a non-isomorphic graph for {g6}", g6)
             continue
-        if build(walk.complemented()) != complement(g):
+        if list(build(walk.complemented()).adj) != complement_rows(g.adj):
             rep.fail(f"complemented code does not build the complement of {g6}", g6)
             continue
 
-        kp, ip = _profile_pair(g)
+        kp, ip = _profile_pair(g.adj)
         for t in THRESHOLD_SIZES:
             s_k, s_i = closed_form_counts(rec, t)
             want_k = kp[t] if t < len(kp) else 0

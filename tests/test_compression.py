@@ -16,8 +16,10 @@ from ngbounds import (
     parse_graph6,
     pi,
 )
+from ngbounds import verify
 from ngbounds.compression import _move, _next_pivot
-from ngbounds.oracle import rng_for
+from ngbounds.graphs import emit_graph6
+from ngbounds.oracle import rng_for, sample_random_graph
 from ngbounds.threshold import build, recognize
 
 from helpers import cycle_graph, full_scan_pivot, gnp_graph, random_graph, walk
@@ -264,3 +266,61 @@ def test_pivots_replay_and_follow_the_orientation_rule(g):
         cur = compress(cur, x, y)
     assert cur == final
     assert recognize(final) is not None
+
+
+def _suite_trial(want):
+    """The first seed below 100 at which trial 0 of ``verify_compression``
+    (n_max = 12) draws a graph g and a pair (x, y) such that
+    ``want(g, compress(g, x, y), *compress_to_threshold(g))`` holds, returned
+    with g, x and y.  The draw repeats the suite's own."""
+    for seed in range(100):
+        rng = rng_for([seed, 0])
+        n = int(rng.integers(2, 13))
+        g = sample_random_graph(n, rng)
+        x = int(rng.integers(n))
+        y = int(rng.integers(n - 1))
+        y += y >= x
+        if want(g, compress(g, x, y), *compress_to_threshold(g)):
+            return seed, g, x, y
+    raise AssertionError("no seed below 100 draws such a trial")
+
+
+def _lower_counts_on(monkeypatch, rows):
+    """Make the suite's counting engine report one vertex fewer on ``rows``."""
+    real = verify._tree_profile
+
+    def lowered(r):
+        prof = real(r)
+        return prof[:1] + (prof[1] - 1,) + prof[2:] if tuple(r) == rows else prof
+
+    monkeypatch.setattr(verify, "_tree_profile", lowered)
+
+
+def _assert_one_violation(seed, template, g):
+    """Trial 0 at ``seed`` fails with the line ``template`` names, and its
+    graph6 is the report's one counterexample."""
+    g6 = emit_graph6(g)
+    rep = verify.verify_compression(trials=1, n_max=12, seed=seed)
+    assert not rep.passed
+    assert rep.lines[0] == "VIOLATION: " + template.format(g6)
+    assert rep.counterexamples == [g6]
+
+
+def test_compression_suite_reports_a_count_that_drops_under_one_compression(monkeypatch):
+    seed, g, x, y = _suite_trial(lambda g, squeezed, final, pivots: squeezed != g)
+    assert verify.verify_compression(trials=1, n_max=12, seed=seed).passed
+    _lower_counts_on(monkeypatch, compress(g, x, y).adj)
+    _assert_one_violation(seed, f"size count dropped under compress({x}->{y}) on {{}}", g)
+
+
+def test_compression_suite_reports_a_count_that_drops_along_the_trace(monkeypatch):
+    seed, g, _, _ = _suite_trial(lambda g, squeezed, final, pivots: pivots and squeezed != final)
+    _lower_counts_on(monkeypatch, compress_to_threshold(g)[0].adj)
+    _assert_one_violation(seed, "product quantity dropped along the trace of {}", g)
+
+
+def test_compression_suite_reports_a_pivot_list_that_does_not_replay(monkeypatch):
+    seed, g, _, _ = _suite_trial(lambda g, squeezed, final, pivots: pivots)
+    final, pivots = compress_to_threshold(g)
+    monkeypatch.setattr(verify, "compress_to_threshold", lambda h: (final, pivots[:-1]))
+    _assert_one_violation(seed, "replaying the pivot list of {} does not reproduce the output", g)

@@ -177,6 +177,18 @@ def test_engine_matches_subset_scan_at_every_size_to_twenty():
             assert independent_profile(complement(g)).by_size == scan
 
 
+def test_engine_matches_subset_scan_on_every_graph_to_six_vertices():
+    # every labeled graph with n <= 6 puts each small candidate set, with
+    # each of its edge counts, at some leaf of the tree
+    for n in range(7):
+        full = (1 << comb(n, 2)) - 1
+        graphs = [Graph.from_edge_mask(n, mask) for mask in range(full + 1)]
+        scans = [profile_by_scan(g).by_size for g in graphs]
+        for mask, (g, scan) in enumerate(zip(graphs, scans)):
+            assert clique_profile(g).by_size == scan
+            assert independent_profile(g).by_size == scans[full ^ mask]
+
+
 def test_engine_matches_memoized_recursion_on_dense_graphs():
     for n in (24, 33, 45):
         for p in (0.2, 0.5, 0.8):
