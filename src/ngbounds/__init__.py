@@ -10,10 +10,8 @@ seeded samplers to verify all of it at desk scale.
 """
 
 from .compression import (
-    NeighborhoodPartition,
     compress,
     compress_to_threshold,
-    neighborhood_partition,
 )
 from .counting import (
     CliqueProfile,
@@ -30,10 +28,7 @@ from .counting import (
 from .graphs import (
     Graph,
     Graph6Error,
-    complement,
     emit_graph6,
-    is_clique,
-    is_independent,
     parse_graph6,
 )
 from .multicolor import (

@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
-from math import comb, prod
+from math import comb, factorial, prod
 from statistics import median
 
 from .compression import compress_to_threshold
@@ -110,6 +110,9 @@ def cmd_bounds(args) -> int:
     # 2^(10/3) > 10, so for 3n >= 10 * limit pi_upper >= 10^limit: such an n is refused before it is built
     if limit and (3 * n >= 10 * limit or (n + 1) * 2**n >= 10**limit):
         raise ValueError(f"--n {n} is too large: pi_upper(n={n}) has more than {limit} digits")
+    # leading_bound builds n^t and t! as exact ints; t! >= 10^t for t >= 25, so t >= limit is refused unbuilt
+    if limit and t > 0 and (t >= limit or max(n**t, factorial(t)) >= 10**limit):
+        raise ValueError(f"--t {t} is too large for --n {n}: {n}^{t} or {t}! has more than {limit} digits")
     if r is not None:
         m = certificate_length(n, r)
         # for n >= 1 and r >= 3, product_upper >= 10^(r(r-1)): such an r is refused before it is built
@@ -172,19 +175,22 @@ def cmd_verify(args) -> int:
 
 
 def cmd_extremal(args) -> int:
+    quantity = args.quantity
+    if quantity is None:
+        quantity = "pi" if args.coloring_r is None else "product"
     if args.coloring_r is not None:
         graph_only = (("--t", args.t is not None), ("--shard", args.shard is not None), ("--shards", args.shards != 1))
         for opt, given in graph_only:
             if given:
                 raise ValueError(f"{opt} applies to graph scans, not to --coloring-r")
-        rec = exhaustive_coloring_extremal(args.n, args.coloring_r, args.quantity, args.direction)
+        rec = exhaustive_coloring_extremal(args.n, args.coloring_r, quantity, args.direction)
         limit = sys.get_int_max_str_digits()
         if limit and rec.value >= 10**limit:
             raise ValueError(f"--coloring-r {args.coloring_r} is too large: the {rec.quantity} has more than {limit} digits")
     else:
         rec = exhaustive_extremal(
             args.n,
-            args.quantity,
+            quantity,
             args.direction,
             t=args.t,
             shards=args.shards,
@@ -259,8 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument(
         "--quantity",
-        default="pi",
-        help="sigma | pi | sigma_t | pi_t (graphs), or sum | product with --coloring-r",
+        help="sigma | pi | sigma_t | pi_t (graphs, default pi), or sum | product with --coloring-r (default product)",
     )
     p.add_argument("--direction", default="max", choices=("min", "max"))
     p.add_argument("--t", type=int, help="size for sigma_t/pi_t")

@@ -10,36 +10,7 @@ threshold graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graphs import Graph, iter_bits
-
-
-@dataclass(frozen=True)
-class NeighborhoodPartition:
-    """How the other n-2 vertices see an ordered pair (x, y).
-
-    only_x: adjacent to x but not y (x's private neighbors)
-    only_y: adjacent to y but not x
-    both:   adjacent to both
-    neither: adjacent to neither
-    """
-
-    only_x: int
-    only_y: int
-    both: int
-    neither: int
-
-
-def neighborhood_partition(g: Graph, x: int, y: int) -> NeighborhoodPartition:
-    """Split V \\ {x, y} by adjacency to x and y.  The four masks are disjoint
-    and cover everything outside the pair."""
-    if x == y:
-        raise ValueError("x and y must be distinct")
-    rest = g.vertex_mask & ~(1 << x) & ~(1 << y)
-    ax = g.adj[x] & rest
-    ay = g.adj[y] & rest
-    return NeighborhoodPartition(ax & ~ay, ay & ~ax, ax & ay, rest & ~ax & ~ay)
 
 
 def _move(rows: list[int], x: int, y: int) -> int:

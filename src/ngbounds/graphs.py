@@ -1,4 +1,4 @@
-"""Bit-row graphs, vertex-set predicates, and graph6 I/O.
+"""Bit-row graphs, edge slots, complement rows, and graph6 I/O.
 
 A graph is stored as ``n`` adjacency bitmasks, one per vertex: bit ``j`` of
 ``adj[i]`` says ``i ~ j``.  Vertex sets are plain Python ints used as
@@ -44,14 +44,6 @@ def iter_bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def mask_of(vertices) -> int:
-    """Bitmask with the given vertex indices set."""
-    out = 0
-    for v in vertices:
-        out |= 1 << v
-    return out
 
 
 def edge_list(n: int) -> list[tuple[int, int]]:
@@ -130,63 +122,11 @@ class Graph:
                 rows[v] |= 1 << u
         return cls(n, tuple(rows))
 
-    @property
-    def vertex_mask(self) -> int:
-        return (1 << self.n) - 1
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.adj[u] >> v) & 1)
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
-    def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.adj) // 2
-
-    def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u, v in edge_list(self.n) if self.has_edge(u, v)]
-
-    def edge_mask(self) -> int:
-        """Edge set as a bitmask over ``edge_list(n)`` slots (inverse of from_edge_mask)."""
-        mask = 0
-        for slot, (u, v) in enumerate(edge_list(self.n)):
-            if self.has_edge(u, v):
-                mask |= 1 << slot
-        return mask
-
 
 def complement_rows(rows) -> list[int]:
     """The bit-rows of the complement of the graph with bit-rows ``rows``."""
     full = (1 << len(rows)) - 1
     return [(full ^ row) & ~(1 << v) for v, row in enumerate(rows)]
-
-
-def complement(g: Graph) -> Graph:
-    """Edge uv present iff absent in ``g``.  Involution."""
-    return Graph(g.n, tuple(complement_rows(g.adj)))
-
-
-def is_clique(g: Graph, s: int) -> bool:
-    """True iff every pair inside the vertex-set mask ``s`` is adjacent.
-
-    Sets of size <= 1 (including the empty set) count as cliques.
-    """
-    if s & ~g.vertex_mask:
-        raise ValueError("vertex set has bits outside the graph")
-    for v in iter_bits(s):
-        if g.adj[v] & s != s & ~(1 << v):
-            return False
-    return True
-
-
-def is_independent(g: Graph, s: int) -> bool:
-    """True iff no pair inside ``s`` is adjacent; same as a clique of the complement."""
-    if s & ~g.vertex_mask:
-        raise ValueError("vertex set has bits outside the graph")
-    for v in iter_bits(s):
-        if g.adj[v] & s:
-            return False
-    return True
 
 
 def _data_len(n: int) -> int:

@@ -86,10 +86,6 @@ class GraphFamily:
         """True iff every vertex pair is colored (a total coloring)."""
         return None not in self.colors
 
-    def color_of(self, u: int, v: int) -> int | None:
-        """0-based color of the pair u != v, or None if uncolored."""
-        return self.colors[edge_slot(self.n, u, v)]
-
 
 def parse_coloring(text: str) -> GraphFamily:
     """Parse the ``n r`` / ``u v c`` text format; validates as it goes."""
@@ -358,12 +354,6 @@ class Tournament:
     @classmethod
     def transitive(cls, size: int) -> "Tournament":
         return cls(size, [i for i, _ in edge_list(size)])
-
-    @classmethod
-    def cyclic(cls, size: int) -> "Tournament":
-        """i beats the next (size-1)//2 vertices around the cycle; for even
-        size the leftover antipodal pairs fall to the lower index."""
-        return cls(size, [j if size - (j - i) <= (size - 1) // 2 else i for i, j in edge_list(size)])
 
 
 def tournament_blocks(n: int, tournament: Tournament) -> list[tuple[tuple[int, int], int]]:

@@ -4,12 +4,12 @@ A threshold graph's two degree sequences across its clique/independent
 split pack into an r x s rectangle; the boundary between the two Ferrers
 diagrams is a monotone lattice path, and the one stored form of the graph.
 A ``BorderPath`` is its step string, '-' a step right and '+' a step up
-(``ALPHABET``), as the pruned walk ``_lattice_max`` yields it; its corners
-and turns are derived from the steps.  ``discrete_border_max``
-maximizes the scaled size-t count product over all such paths exactly
-(rational arithmetic).  In the continuous relaxation the rectangle becomes
-[0,q] x [0,p] with p + q = 1, and the best border turns once; its value
-is ``one_turn_value``, maximized in closed form by ``leading_term_bound``.
+(``ALPHABET``), as the pruned walk ``_lattice_max`` yields it; its turns
+are counted on the steps.  ``discrete_border_max`` maximizes the scaled
+size-t count product over all such paths exactly (rational arithmetic).
+In the continuous relaxation the rectangle becomes [0,q] x [0,p] with
+p + q = 1, and the best border turns once; its value is
+``one_turn_value``, maximized in closed form by ``leading_term_bound``.
 
 The punchline is the leading-term bound: the best split fraction is
 
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
 from math import factorial, prod, sqrt
 from operator import attrgetter
 
@@ -47,27 +46,9 @@ class BorderPath:
             raise ValueError("path steps must be '-' (right) or '+' (up)")
 
     @property
-    def points(self) -> tuple[tuple[int, int], ...]:
-        """Polyline vertices from (0, 0), collinear runs merged."""
-        pts = [(0, 0)]
-        for step, run in groupby(self.steps):
-            x, y = pts[-1]
-            k = len(list(run))
-            pts.append((x + k, y) if step == "-" else (x, y + k))
-        return tuple(pts)
-
-    @property
     def turns(self) -> int:
         """Direction changes along the path."""
         return sum(1 for a, b in zip(self.steps, self.steps[1:]) if a != b)
-
-    @property
-    def orientation(self) -> str:
-        return "starts-up" if self.steps[:1] == "+" else "starts-right"
-
-    @property
-    def end(self) -> tuple[int, int]:
-        return self.steps.count("-"), self.steps.count("+")
 
     @property
     def code(self) -> str:

@@ -38,7 +38,7 @@ def recognize(g: Graph) -> BorderPath | None:
     the last peeled symbol ('-' for one vertex)."""
     if g.n == 0:
         return None
-    mask, adj = g.vertex_mask, g.adj
+    mask, adj = (1 << g.n) - 1, g.adj
     steps: list[str] = []
     while mask.bit_count() > 1:
         size = mask.bit_count()

@@ -8,6 +8,7 @@ report alone.  The CLI ``verify`` command is a thin wrapper around these.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from math import comb, factorial, prod
 
@@ -181,6 +182,13 @@ def verify_borders(t: int = 3, n_max: int = 20) -> Report:
     restricting to r <= s would lose nothing.
     """
     _check("borders", "n_max", n_max, 0, MAX_RECTANGLE)
+    # each value is printed as a Fraction over (t!)^2: t stops where (t!)^2 passes the digit limit
+    limit = sys.get_int_max_str_digits()
+    t_max, scale, cap = 1, 1, 10**limit
+    while limit and scale * (t_max + 1) ** 2 < cap:
+        t_max += 1
+        scale *= t_max * t_max
+    _check("borders", "t", t, 2, t_max if limit else None)
     rep = Report("borders")
     local_multi_turn = 0
     for n in range(n_max + 1):

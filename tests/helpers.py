@@ -10,6 +10,7 @@ import numpy as np
 
 from ngbounds import BorderPath, ExtremalRecord, Graph, GraphFamily, build, emit_coloring, emit_graph6, one_turn_value
 from ngbounds import pi_t, sample_random_graph
+from ngbounds.graphs import complement_rows
 from ngbounds.oracle import _GRAPH_QUANTITIES, WITNESS_CAP, _mask_counts, _popcount64, _tables
 
 
@@ -20,6 +21,14 @@ def path_graph(n: int) -> Graph:
 def cycle_graph(n: int) -> Graph:
     edges = [(i, (i + 1) % n) for i in range(n)]
     return Graph.from_edges(n, edges)
+
+
+def complement(g: Graph) -> Graph:
+    return Graph(g.n, tuple(complement_rows(g.adj)))
+
+
+def edge_count(g: Graph) -> int:
+    return sum(row.bit_count() for row in g.adj) // 2
 
 
 def random_graph(n: int, rng) -> Graph:
@@ -59,6 +68,11 @@ def walk(code: str) -> BorderPath:
 def walk_heights(steps: str) -> tuple[int, ...]:
     """Height of each '-' step: the degrees of the independent side."""
     return tuple(steps[:i].count("+") for i, step in enumerate(steps) if step == "-")
+
+
+def walk_end(steps: str) -> tuple[int, int]:
+    """Where the walk ends: its '-' and '+' steps, the independent and clique side sizes."""
+    return steps.count("-"), steps.count("+")
 
 
 def walk_columns(steps: str) -> tuple[int, ...]:

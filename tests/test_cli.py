@@ -3,6 +3,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -245,6 +246,23 @@ def test_bounds_refuses_a_leading_term_past_float_range_before_printing(capsys):
     assert code == 0 and out.splitlines()[2].startswith("leading_bound(n=100) ")
 
 
+def test_bounds_refuses_an_unprintable_t_before_any_work(capsys):
+    # leading_bound builds n^t and t! as exact ints: past the digit limit a large t ran for
+    # minutes and then printed a leading bound of 0
+    limit = sys.get_int_max_str_digits()
+    last = 3
+    while factorial(last + 1) < 10**limit:
+        last += 1
+    code, out, _ = run(capsys, "bounds", "--t", str(last), "--n", "2")
+    assert code == 0 and out.splitlines()[0].startswith(f"split_{last} ")
+    for n, t in ((2, last + 1), (10, 3_000_000), (10, 10**18), (14000, 1100)):  # 14000^1100 has 4,562 digits
+        start = time.perf_counter()
+        code, out, err = run(capsys, "bounds", "--t", str(t), "--n", str(n))
+        assert (code, out) == (2, "")
+        assert f"--t {t} is too large for --n {n}" in err
+        assert time.perf_counter() - start < 1
+
+
 def test_verify_known_suite(capsys):
     code, out, _ = run(capsys, "verify", "borders", "--t", "3", "--n-max", "3")
     assert code == 0
@@ -271,6 +289,22 @@ def test_verify_borders_refuses_an_out_of_range_n_max_before_scanning(capsys, mo
         code, out, err = run(capsys, "verify", "borders", "--t", "3", "--n-max", n_max)
         assert (code, out) == (2, "")
         assert f"0 <= n_max <= 24, got {n_max}" in err
+
+
+def test_verify_borders_refuses_an_unprintable_t_before_scanning(capsys):
+    # every value is printed as a Fraction over (t!)^2; a t past the digit limit
+    # used to end in Python's own int-to-str message
+    limit = sys.get_int_max_str_digits()
+    for t in ("1500", "20000", "1"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "borders", "--t", t)
+        assert (code, out) == (2, "")
+        last = int(err.split("2 <= t <= ", 1)[1].split(",", 1)[0])
+        assert err == f"error: --t: the borders suite needs 2 <= t <= {last}, got {t}\n"
+        assert time.perf_counter() - start < 1
+    assert factorial(last) ** 2 < 10**limit <= factorial(last + 1) ** 2
+    code, out, _ = run(capsys, "verify", "borders", "--t", str(last), "--n-max", "2")
+    assert code == 0 and out.endswith("borders: PASS\n")
 
 
 @pytest.mark.parametrize(
@@ -411,6 +445,15 @@ def test_extremal_command(capsys):
 
     code, _, err = run(capsys, "extremal", "--n", "9", "--quantity", "pi")
     assert code == 2 and "capped" in err
+
+
+def test_extremal_quantity_defaults_to_pi_for_graphs_and_product_for_colorings(capsys):
+    for argv, quantity in ((("--n", "3"), "pi"), (("--n", "3", "--coloring-r", "2"), "product")):
+        code, out, _ = run(capsys, "extremal", *argv)
+        assert code == 0 and out.splitlines()[1].startswith(f"3,{quantity},max,")
+        assert run(capsys, "extremal", *argv, "--quantity", quantity) == (0, out, "")
+    code, out, err = run(capsys, "extremal", "--n", "3", "--coloring-r", "2", "--quantity", "pi")
+    assert (code, out, err) == (2, "", "error: unknown coloring quantity 'pi'\n")
 
 
 def test_extremal_refuses_an_unprintable_coloring_value_before_printing(capsys):

@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 from ngbounds import (
     Graph,
     clique_profile,
-    complement,
     compress,
     compress_to_threshold,
     count_independent_sets,
     independent_profile,
-    neighborhood_partition,
     parse_graph6,
     pi,
 )
@@ -22,79 +20,32 @@ from ngbounds.graphs import emit_graph6
 from ngbounds.oracle import rng_for, sample_random_graph
 from ngbounds.threshold import build, recognize
 
-from helpers import cycle_graph, full_scan_pivot, gnp_graph, random_graph, walk
+from helpers import complement, cycle_graph, full_scan_pivot, gnp_graph, random_graph, walk
 
 TRACE_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / "compress_trace"
 
 
-def _full_scan_pivot(g):
-    """Oracle: the pivot search as a scan of every pair, one
-    ``NeighborhoodPartition`` and one ``Graph`` per pivot."""
-    degs = [row.bit_count() for row in g.adj]
-    best = None
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            part = neighborhood_partition(g, u, v)
-            if part.only_x and part.only_y:
-                cand = (u, v) if degs[v] > degs[u] else (v, u)
-                if best is None or cand < best:
-                    best = cand
-    return best
-
-
 def _full_scan_compress_to_threshold(g):
+    """Oracle: ``full_scan_pivot`` on each graph's rows, one ``Graph`` per pivot."""
     pivots = []
-    while (pivot := _full_scan_pivot(g)) is not None:
+    while (pivot := full_scan_pivot(g.adj, [row.bit_count() for row in g.adj])) is not None:
         g = compress(g, *pivot)
         pivots.append(pivot)
     return g, pivots
 
 
-def test_partition_fixtures():
-    g = Graph.from_edges(3, [(0, 2)])  # x=0, y=1, z=2
-    part = neighborhood_partition(g, 0, 1)
-    assert (part.only_x, part.only_y, part.both, part.neither) == (0b100, 0, 0, 0)
-
-    part = neighborhood_partition(Graph.complete(3), 0, 1)
-    assert part.both == 0b100 and part.only_x == part.only_y == part.neither == 0
-
-    part = neighborhood_partition(Graph.empty(3), 0, 1)
-    assert part.neither == 0b100 and part.only_x == part.only_y == part.both == 0
-
-
-def test_partition_covers_everything():
-    for trial in range(100):
-        rng = rng_for([3, trial])
-        n = int(rng.integers(2, 12))
-        g = random_graph(n, rng)
-        x = int(rng.integers(n))
-        y = (x + 1 + int(rng.integers(n - 1))) % n
-        part = neighborhood_partition(g, x, y)
-        pieces = [part.only_x, part.only_y, part.both, part.neither]
-        assert sum(p.bit_count() for p in pieces) == n - 2
-        assert part.only_x | part.only_y | part.both | part.neither == g.vertex_mask & ~(1 << x) & ~(1 << y)
-        for a in pieces:
-            for b in pieces:
-                assert a is b or a & b == 0
-
-
-def test_partition_rejects_equal_vertices():
-    with pytest.raises(ValueError):
-        neighborhood_partition(Graph.empty(3), 1, 1)
-    with pytest.raises(ValueError):
-        compress(Graph.empty(3), 2, 2)
-
-
 def test_compress_single_edge():
     g = Graph.from_edges(3, [(0, 2)])
     out = compress(g, 0, 1)
-    assert out.edges() == [(1, 2)]
+    assert out == Graph.from_edges(3, [(1, 2)])
     assert count_independent_sets(g) == count_independent_sets(out) == 6
 
 
 def test_compress_identity_when_no_private_neighbors():
     g = Graph.from_edges(3, [(1, 2)])  # x=0 has nothing to move
     assert compress(g, 0, 1) == g
+    with pytest.raises(ValueError):
+        compress(Graph.empty(3), 2, 2)
 
 
 def test_compress_moves_only_private_neighbors():
@@ -104,16 +55,13 @@ def test_compress_moves_only_private_neighbors():
         g = random_graph(n, rng)
         x = int(rng.integers(n))
         y = (x + 1 + int(rng.integers(n - 1))) % n
-        before = neighborhood_partition(g, x, y)
         out = compress(g, x, y)
-        after = neighborhood_partition(out, x, y)
-        assert after.only_x == 0
-        assert after.only_y == before.only_x | before.only_y
-        assert after.both == before.both
-        assert after.neither == before.neither
-        assert out.has_edge(x, y) == g.has_edge(x, y)
-        # untouched edges stay put
         pair = (1 << x) | (1 << y)
+        # x keeps only the common neighbours, y gains x's private ones
+        assert out.adj[x] & ~pair == g.adj[x] & g.adj[y] & ~pair
+        assert out.adj[y] & ~pair == (g.adj[x] | g.adj[y]) & ~pair
+        assert out.adj[x] & pair == g.adj[x] & pair  # the edge or non-edge xy
+        # untouched edges stay put
         for v in range(n):
             if not (pair >> v) & 1:
                 assert out.adj[v] & ~pair == g.adj[v] & ~pair
@@ -174,10 +122,10 @@ def test_squared_degree_sum_strictly_increases():
         final, pivots = compress_to_threshold(g)
         assert len(pivots) <= n * n
         cur = g
-        metric = sum(d * d for d in (cur.degree(v) for v in range(n)))
+        metric = sum(row.bit_count() ** 2 for row in cur.adj)
         for x, y in pivots:
             cur = compress(cur, x, y)
-            nxt = sum(d * d for d in (cur.degree(v) for v in range(n)))
+            nxt = sum(row.bit_count() ** 2 for row in cur.adj)
             assert nxt > metric
             metric = nxt
         assert cur == final
@@ -260,9 +208,10 @@ def test_pivots_replay_and_follow_the_orientation_rule(g):
     final, pivots = compress_to_threshold(g)
     cur = g
     for x, y in pivots:
-        part = neighborhood_partition(cur, x, y)
-        assert part.only_x and part.only_y
-        assert cur.degree(y) > cur.degree(x) or (cur.degree(y) == cur.degree(x) and y < x)
+        row_x, row_y = cur.adj[x], cur.adj[y]
+        assert row_x & ~row_y & ~(1 << y) and row_y & ~row_x & ~(1 << x)  # both have private neighbours
+        deg_x, deg_y = row_x.bit_count(), row_y.bit_count()
+        assert deg_y > deg_x or (deg_y == deg_x and y < x)
         cur = compress(cur, x, y)
     assert cur == final
     assert recognize(final) is not None

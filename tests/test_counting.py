@@ -6,7 +6,6 @@ from ngbounds import (
     Graph,
     build,
     clique_profile,
-    complement,
     independent_profile,
     pi,
     pi_t,
@@ -16,7 +15,7 @@ from ngbounds import (
 )
 from ngbounds.oracle import rng_for
 
-from helpers import cycle_graph, gnp_graph, path_graph, random_graph, walk
+from helpers import complement, cycle_graph, gnp_graph, path_graph, random_graph, walk
 
 
 def test_profile_fixtures():
@@ -155,7 +154,7 @@ def _memo_profile(g: Graph) -> tuple[int, ...]:
         memo[mask] = tuple(out)
         return memo[mask]
 
-    prof = rec(g.vertex_mask)
+    prof = rec((1 << g.n) - 1)
     return prof + (0,) * (g.n + 1 - len(prof))
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from ngbounds import Graph, complement, emit_graph6, is_clique, is_independent, parse_graph6
+from ngbounds import Graph, emit_graph6, parse_graph6
 from ngbounds.graphs import (
     Graph6ByteError,
     Graph6HeaderError,
@@ -8,11 +8,10 @@ from ngbounds.graphs import (
     Graph6SizeError,
     edge_list,
     edge_slot,
-    mask_of,
 )
 from ngbounds.oracle import rng_for
 
-from helpers import gnp_graph, path_graph, random_graph
+from helpers import complement, gnp_graph, path_graph, random_graph
 
 
 def test_construction_rejects_bad_adjacency():
@@ -66,54 +65,14 @@ def test_complement_involution_random():
         assert complement(complement(g)) == g
 
 
-def test_is_clique():
-    k3 = Graph.complete(3)
-    assert is_clique(k3, 0b111)
-    assert is_clique(k3, 0)  # empty set is a clique by convention
-    assert is_clique(path_graph(3), 0b011)
-    assert not is_clique(path_graph(3), 0b101)  # endpoints of the path
-    assert is_clique(Graph.empty(4), 0b0100)  # singleton
-
-
-def test_is_independent():
-    assert is_independent(Graph.empty(3), 0b111)
-    assert is_independent(Graph.complete(5), 0b00100)
-    assert not is_independent(Graph.complete(2), 0b11)
-
-
-def test_set_predicates_are_complement_dual():
-    for trial in range(100):
-        rng = rng_for([17, trial])
-        n = int(rng.integers(1, 10))
-        g = random_graph(n, rng)
-        s = int(rng.integers(0, 2**n))
-        assert is_independent(g, s) == is_clique(complement(g), s)
-        if s.bit_count() >= 2:
-            pairs_ok = all(
-                g.has_edge(u, v)
-                for u in range(n)
-                for v in range(u + 1, n)
-                if (s >> u) & 1 and (s >> v) & 1
-            )
-            assert is_clique(g, s) == pairs_ok
-
-
-def test_set_predicate_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        is_clique(Graph.empty(2), 0b100)
-
-
 def test_graph6_known_codes():
     g = parse_graph6("D?{")
     assert g.n == 5
-    assert g.edges() == [(0, 4), (1, 4), (2, 4), (3, 4)]
+    assert g == Graph.from_edges(5, [(0, 4), (1, 4), (2, 4), (3, 4)])
     assert emit_graph6(g) == "D?{"
 
-    assert parse_graph6("@").n == 1
-    assert parse_graph6("@").edge_count() == 0
-
-    k2 = parse_graph6("A_")
-    assert k2.edges() == [(0, 1)]
+    assert parse_graph6("@") == Graph.empty(1)
+    assert parse_graph6("A_") == Graph.complete(2)
 
     assert emit_graph6(Graph.complete(3)) == "Bw"
     assert parse_graph6("Bw") == Graph.complete(3)
@@ -145,10 +104,8 @@ def test_graph6_errors_are_distinct():
 
 
 def test_mask_helpers():
-    assert mask_of([0, 2, 5]) == 0b100101
-    g = Graph.from_edges(4, [(0, 1), (2, 3)])
-    assert g.edge_mask() == Graph.from_edge_mask(4, g.edge_mask()).edge_mask()
-    assert g.degree(0) == 1 and g.has_edge(3, 2)
+    # slots (0, 1) = 0 and (2, 3) = 5 of the order (0, 1), (0, 2), (0, 3), (1, 2), ...
+    assert Graph.from_edge_mask(4, 0b100001) == Graph.from_edges(4, [(0, 1), (2, 3)])
     for n in (2, 5, 62):
         assert [edge_slot(n, u, v) for u, v in edge_list(n)] == list(range(n * (n - 1) // 2))
         assert all(edge_slot(n, v, u) == edge_slot(n, u, v) for u, v in edge_list(n))

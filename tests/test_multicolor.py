@@ -28,6 +28,8 @@ from ngbounds.graphs import edge_list
 from ngbounds.multicolor import MAX_COLORS, ColoringFormatError
 from ngbounds.oracle import random_tournament, rng_for, sample_random_coloring
 
+from helpers import edge_count
+
 
 def total_coloring(n, r, seed):
     return sample_random_coloring(n, r, rng_for([seed]))
@@ -43,7 +45,7 @@ def test_family_validation():
             GraphFamily(n, 1, [])
     fam = GraphFamily(2, 2, [0])
     assert fam.r == 2 and fam.covers_all_edges
-    assert fam.color_of(0, 1) == fam.color_of(1, 0) == 0
+    assert fam.colors == (0,)
     assert fam.members == (Graph.complete(2), Graph.empty(2))
     assert GraphFamily(2, 2, (0,)) == fam and hash(GraphFamily(2, 2, [0])) == hash(fam)
     # members are built on first use, once; writing a family out builds none
@@ -58,7 +60,6 @@ def test_covers_all_edges_flag():
     partial = GraphFamily(n, 2, [0, None, None, None, None, 1])
     assert partial.members == (Graph.from_edges(n, [(0, 1)]), Graph.from_edges(n, [(2, 3)]))
     assert not partial.covers_all_edges
-    assert partial.color_of(0, 2) is None
     fam = total_coloring(5, 3, seed=2)
     assert fam.covers_all_edges
 
@@ -77,7 +78,7 @@ def test_from_colors_round_trip():
         n, r = int(rng.integers(0, 9)), int(rng.integers(1, 5))
         colors = [None if x == r else x for x in (int(rng.integers(0, r + 1)) for _ in edge_list(n))]
         fam = GraphFamily(n, r, colors)
-        assert [fam.color_of(u, v) for u, v in edge_list(n)] == colors
+        assert list(fam.colors) == colors
         by_color = [[e for e, c in zip(edge_list(n), colors) if c == i] for i in range(r)]
         assert fam.members == tuple(Graph.from_edges(n, edges) for edges in by_color)
         assert parse_coloring(emit_coloring(fam)) == fam
@@ -99,7 +100,7 @@ def test_clique_counts_build_only_the_colors_in_use():
 def test_from_colors_leaves_none_uncolored():
     fam = GraphFamily(3, 2, [1, None, 0])
     assert fam.members == (Graph.from_edges(3, [(1, 2)]), Graph.from_edges(3, [(0, 1)]))
-    assert fam.color_of(0, 2) is None and not fam.covers_all_edges
+    assert fam.colors == (1, None, 0) and not fam.covers_all_edges
     assert emit_coloring(fam) == "3 2\n0 1 2\n1 2 1\n"
 
 
@@ -132,7 +133,7 @@ def test_coloring_parse_errors_carry_line_numbers():
         with pytest.raises(ColoringFormatError) as err:
             parse_coloring(f"# comment\n{header}\n0 1 1\n")
         assert err.value.line == 2 and "1 <= r <= 65536" in str(err.value)
-    assert parse_coloring(f"2 {MAX_COLORS}\n0 1 {MAX_COLORS}\n").color_of(0, 1) == MAX_COLORS - 1
+    assert parse_coloring(f"2 {MAX_COLORS}\n0 1 {MAX_COLORS}\n").colors == (MAX_COLORS - 1,)
     with pytest.raises(ColoringFormatError):
         parse_coloring("3\n")
     with pytest.raises(ColoringFormatError) as err:
@@ -246,9 +247,10 @@ def test_covering_tuple_fixtures():
 def test_covering_tuples_against_direct_enumeration():
     for seed in range(15):
         fam = sample_random_coloring(4, 2, rng_for([seed]), partial=True)
-        cliques = []
-        for g in fam.members:
-            cliques.append([s for s in range(16) if _is_clique_mask(g, s)])
+        cliques = [
+            [s for s in range(16) if all(g.adj[v] & s == s & ~(1 << v) for v in range(4) if s >> v & 1)]
+            for g in fam.members
+        ]
         direct = sum(
             1
             for s1 in cliques[0]
@@ -256,12 +258,6 @@ def test_covering_tuples_against_direct_enumeration():
             if s1 | s2 == 15
         )
         assert count_covering_tuples(fam) == direct
-
-
-def _is_clique_mask(g, s):
-    from ngbounds import is_clique
-
-    return is_clique(g, s)
 
 
 def test_multicolor_upper_bound_fixtures():
@@ -285,7 +281,6 @@ def test_tournament_validation():
     with pytest.raises(ValueError, match=r"winner 0 of pair \(1, 2\)"):
         Tournament(3, [0, 0, 0])
     assert Tournament(3, [1, 2, 1]).winners == (1, 2, 1)
-    assert Tournament.cyclic(3).winners == (0, 2, 1)  # 0 -> 1 -> 2 -> 0
     assert Tournament.transitive(4).winners == (0, 0, 0, 1, 1, 2)
     assert Tournament(0, []).winners == Tournament(1, []).winners == ()
     with pytest.raises(ValueError, match="tournament size must be >= 0, got -1"):
@@ -302,24 +297,12 @@ def test_a_tournament_with_no_pair_labels_no_block(size):
             call(5, tour)
 
 
-def test_cyclic_tournament_follows_the_rotation_rule():
-    for size in range(10):
-        half = (size - 1) // 2
-        beats = {(i, (i + k) % size) for i in range(size) for k in range(1, half + 1)}
-        for i in range(size):  # even sizes leave the antipodal pairs to the lower index
-            for j in range(i + 1, size):
-                if (j, i) not in beats:
-                    beats.add((i, j))
-        want = [i if (i, j) in beats else j for i, j in edge_list(size)]
-        assert list(Tournament.cyclic(size).winners) == want
-        assert len(beats) == len(want)  # no pair oriented both ways
-
-
 def test_tournament_blocks_split_evenly():
     blocks = tournament_blocks(14, Tournament.transitive(4))  # 6 blocks
     # larger blocks on lexicographically earlier edges
     assert blocks == [((0, 1), 3), ((0, 2), 3), ((0, 3), 2), ((1, 2), 2), ((1, 3), 2), ((2, 3), 2)]
-    assert [edge for edge, _ in tournament_blocks(3, Tournament.cyclic(3))] == [(0, 1), (2, 0), (1, 2)]
+    cyclic = Tournament(3, (0, 2, 1))  # 0 -> 1 -> 2 -> 0
+    assert [edge for edge, _ in tournament_blocks(3, cyclic)] == [(0, 1), (2, 0), (1, 2)]
     assert construction_value(14, Tournament.transitive(4)) == 2**14 * 4**2 * 3**4
 
 
@@ -331,15 +314,16 @@ def test_tournament_construction_two_colors():
 
 
 def test_tournament_construction_three_colors():
-    fam = tournament_construction(3, Tournament.cyclic(3))
+    cyclic = Tournament(3, (0, 2, 1))  # 0 -> 1 -> 2 -> 0
+    fam = tournament_construction(3, cyclic)
     # with three colors every pair of block labels shares a tournament
     # vertex, so the construction happens to color every edge
     assert fam.covers_all_edges
-    counts = [g.edge_count() for g in fam.members]
+    counts = [edge_count(g) for g in fam.members]
     assert counts == [1, 1, 1]
     assert product_clique_counts(fam) == 125
 
-    fam6 = tournament_construction(6, Tournament.cyclic(3))
+    fam6 = tournament_construction(6, cyclic)
     assert product_clique_counts(fam6) >= 2**6 * (6 // 3) ** 3
 
 

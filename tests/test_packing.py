@@ -1,7 +1,7 @@
 import time
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial, isclose, sqrt
+from math import factorial, isclose, sqrt
 
 import pytest
 
@@ -21,6 +21,7 @@ from helpers import (
     sign_changes,
     split_polynomial,
     two_turn_grid_argmax,
+    walk_end,
     walk_heights,
 )
 
@@ -77,37 +78,23 @@ def test_packed_pair_area_bookkeeping():
 
 def test_border_path_shape():
     path = border_from_heights((0, 1, 1, 3), 3)
-    assert path.steps == "-+--++-" and path.end == (4, 3)
-    assert path.points == ((0, 0), (1, 0), (1, 1), (3, 1), (3, 3), (4, 3))
-    assert path.turns == 4
-    assert path.orientation == "starts-right"
-
+    assert path.steps == "-+--++-" and path.turns == 4
     up_right = border_from_heights((3, 3, 3, 3), 3)
-    assert up_right.points == ((0, 0), (0, 3), (4, 3))
-    assert up_right.turns == 1
-    assert up_right.orientation == "starts-up"
-
+    assert up_right.steps == "+++----" and up_right.turns == 1
     flat = border_from_heights((), 3)
-    assert flat.points == ((0, 0), (0, 3))
-    assert flat.turns == 0
+    assert flat.steps == "+++" and flat.turns == 0
 
 
 def test_border_path_every_step_string():
-    # each path of up to 10 steps: the derived corners, turns and heights agree with its steps
+    # each path of up to 10 steps: its turns and heights agree with its steps
     for length in range(11):
         for walk in product("-+", repeat=length):
             steps = "".join(walk)
             path = BorderPath(steps)
-            pts = path.points
-            assert pts[0] == (0, 0) and pts[-1] == path.end
-            assert path.turns == max(0, len(pts) - 2)
-            segments = [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(pts, pts[1:])]
-            assert all(min(dx, dy) == 0 < max(dx, dy) for dx, dy in segments)  # axis-parallel, non-empty
-            assert all((a[0] == 0) != (b[0] == 0) for a, b in zip(segments, segments[1:]))  # axes alternate
-            assert "".join("-" * dx + "+" * dy for dx, dy in segments) == steps
-            assert path.orientation == ("starts-up" if steps[:1] == "+" else "starts-right")
-            assert border_from_heights(walk_heights(steps), path.end[1]) == path
-            assert path.complemented().end == path.end[::-1] and path.complemented().complemented() == path
+            assert path.turns == steps.count("-+") + steps.count("+-")
+            assert border_from_heights(walk_heights(steps), steps.count("+")) == path
+            flipped = path.complemented()
+            assert walk_end(flipped.steps) == walk_end(steps)[::-1] and flipped.complemented() == path
     for bad in ("x", "-+x", "+ -"):
         with pytest.raises(ValueError, match="path steps"):
             BorderPath(bad)
@@ -121,7 +108,7 @@ def test_discrete_border_max_fixtures():
     assert path.turns <= 1
     # best path is up-then-right: b = (3,3,3,3), a = (0,0,0)
     assert value == Fraction((27 + 3 * 36) * 64, 36) == 240
-    assert path.orientation == "starts-up"
+    assert path.steps[:1] == "+"
 
     # r = 0 or s = 0 degenerates to a single path of value 0 for t >= 2
     path, value = discrete_border_max(0, 5, 3)
@@ -151,13 +138,12 @@ def test_discrete_border_max_agrees_with_direct_enumeration():
 
 @pytest.mark.parametrize("t", (2, 3, 4, 5))
 def test_discrete_border_max_matches_path_enumeration(t):
-    # path, value, turns and orientation, tie-break included
+    # path and value, tie-break included
     for n in range(13):
         for r in range(n + 1):
             got_path, got_value = discrete_border_max(r, n - r, t)
             want_path, want_value = border_max_by_enumeration(r, n - r, t)
             assert (got_path, got_value) == (want_path, want_value)
-            assert (got_path.turns, got_path.orientation) == (want_path.turns, want_path.orientation)
 
 
 @pytest.mark.parametrize("t", range(6))

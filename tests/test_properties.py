@@ -13,7 +13,6 @@ from ngbounds import (
     build,
     clique_profile,
     closed_form_counts,
-    complement,
     compress,
     emit_coloring,
     emit_graph6,
@@ -27,7 +26,7 @@ from ngbounds.multicolor import ColoringFormatError
 from ngbounds.packing import _walk_sums
 from ngbounds.verify import _code_terms
 
-from helpers import packed_pair, walk, walk_columns, walk_heights
+from helpers import complement, packed_pair, walk, walk_columns, walk_end, walk_heights
 
 
 @st.composite
@@ -92,7 +91,7 @@ def test_walk_closed_form_matches_the_built_graph_and_its_sides_pack(code):
         assert closed_form_counts(path, t) == closed_form_counts(flipped, t) == (kp.count(t), ip.count(t))
     for split in (path, flipped):
         # the clique side's non-neighbour counts are the Gale-Ryser packed partner of the independent side's degrees
-        s, r = split.end
+        s, r = walk_end(split.steps)
         assert packed_pair(walk_heights(split.steps), r, s) == walk_columns(split.steps)[::-1]
 
 

@@ -6,7 +6,6 @@ from ngbounds import (
     BorderPath,
     Graph,
     clique_profile,
-    complement,
     count_cliques,
     count_independent_sets,
     independent_profile,
@@ -19,7 +18,7 @@ from ngbounds.threshold import (
     recognize,
 )
 
-from helpers import cycle_graph, path_graph, walk, walk_columns, walk_heights
+from helpers import complement, cycle_graph, edge_count, path_graph, walk, walk_columns, walk_end, walk_heights
 
 
 def random_code(n, rng):
@@ -42,7 +41,7 @@ def test_build_fixtures():
         assert build(walk("+" * (n - 1))) == Graph.complete(n)
         assert build(walk("-" * (n - 1))) == Graph.empty(n)
     g = build(walk("-+"))  # dominating then isolate
-    assert g.edge_count() == 1
+    assert edge_count(g) == 1
     assert count_cliques(g) == 5
     assert count_independent_sets(g) == 6
     assert build(BorderPath("")) == Graph(0, ())
@@ -52,14 +51,14 @@ def test_display_block_codes_build_the_advertised_shapes():
     # all + left of all - in display order: complete join of the two sides
     joined = walk("++---")
     assert recognize(build(joined)) == joined
-    assert joined.end == (4, 2)  # (independent side, clique side)
+    assert walk_end(joined.steps) == (4, 2)  # (independent side, clique side)
     assert walk_heights(joined.steps) == (2, 2, 2, 2)  # every independent vertex sees the whole clique side
     assert walk_columns(joined.steps) == (0, 0)
     # all - left of all +: disjoint union of a clique and an independent set
     disjoint = walk("--+++")
-    assert disjoint.end == (2, 4)
+    assert walk_end(disjoint.steps) == (2, 4)
     assert walk_heights(disjoint.steps) == (0, 0)
-    assert build(disjoint).edge_count() == comb(4, 2)
+    assert edge_count(build(disjoint)) == comb(4, 2)
 
 
 def test_recognize_fixtures():
@@ -79,7 +78,7 @@ def test_recognize_round_trip_random_codes():
         assert rec is not None
         again = build(rec)
         # threshold graphs are determined by their degree multiset
-        assert sorted(g.degree(v) for v in range(n)) == sorted(again.degree(v) for v in range(n))
+        assert sorted(row.bit_count() for row in g.adj) == sorted(row.bit_count() for row in again.adj)
         assert recognize(again) == rec
 
 
@@ -92,12 +91,12 @@ def test_complement_code_builds_the_complement():
 
 
 def test_split_degrees_fixtures():
-    assert recognize(Graph.complete(6)).end == (0, 6)
+    assert walk_end(recognize(Graph.complete(6)).steps) == (0, 6)
 
     # complete join of an edge and two isolated vertices
     ks = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
     path = recognize(ks)
-    assert path.end == (2, 2)
+    assert walk_end(path.steps) == (2, 2)
     assert walk_columns(path.steps) == (0, 0)
     assert walk_heights(path.steps) == (2, 2)
 
@@ -113,13 +112,13 @@ def test_split_degrees_packing_fixture():
         [(0, 1), (0, 2), (1, 2), (2, 4), (2, 5), (2, 6), (0, 6), (1, 6)],
     )
     path = recognize(g)
-    assert path.end == (3, 4)
+    assert walk_end(path.steps) == (3, 4)
     assert walk_columns(path.steps)[::-1] == (3, 3, 3, 1)
     assert walk_heights(path.steps) == (0, 1, 1)
     other = BorderPath(path.code + "-")
     assert walk_heights(other.steps) == (0, 1, 1, 3) and build(other) == build(path)
     for split in (path, other):
-        assert closed_form_counts(split, 2) == (g.edge_count(), 21 - g.edge_count())
+        assert closed_form_counts(split, 2) == (edge_count(g), 21 - edge_count(g))
 
 
 def test_split_degrees_rejects_non_threshold():
@@ -157,8 +156,8 @@ def test_closed_form_matches_profiles_random_codes():
 def test_extremal_one_turn_codes():
     joined, disjoint = extremal_one_turn_codes(60, 3)
     assert len(joined.steps) == len(disjoint.steps) == 60
-    assert joined.end == (39, 21)  # ceil(0.6404 * 60) = 39 independent
-    assert disjoint.end == (21, 39)
+    assert walk_end(joined.steps) == (39, 21)  # ceil(0.6404 * 60) = 39 independent
+    assert walk_end(disjoint.steps) == (21, 39)
     assert joined.code == "+" * 21 + "-" * 38 and recognize(build(joined)) == joined
     # the two extremal graphs are complements, so their size-t products agree
     assert complement(build(joined)) == build(disjoint)
