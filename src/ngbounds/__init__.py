@@ -14,7 +14,6 @@ from .compression import (
     compress_to_threshold,
 )
 from .counting import (
-    CliqueProfile,
     clique_profile,
     count_cliques,
     count_independent_sets,
@@ -52,7 +51,6 @@ from .multicolor import (
     tournament_construction,
 )
 from .oracle import (
-    ExponentReport,
     ExtremalRecord,
     exhaustive_coloring_extremal,
     exhaustive_extremal,

@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
-from math import comb, factorial, prod
+from math import comb, factorial, log, log2, prod
 from statistics import median
 
 from .compression import compress_to_threshold
@@ -76,13 +76,14 @@ def cmd_count(args) -> int:
         if not 0 <= t <= g.n:
             raise ValueError(f"size t={t} outside [0, {g.n}]")
     kp, ip = clique_profile(g), independent_profile(g)
+    k, i = sum(kp), sum(ip)
     print(f"n {g.n}")
-    print(f"k {kp.total}")
-    print(f"i {ip.total}")
-    print(f"sigma {kp.total + ip.total}")
-    print(f"pi {kp.total * ip.total}")
+    print(f"k {k}")
+    print(f"i {i}")
+    print(f"sigma {k + i}")
+    print(f"pi {k * i}")
     for t in sizes:
-        kt, it = kp.count(t), ip.count(t)
+        kt, it = kp[t], ip[t]
         print(f"k_{t} {kt}")
         print(f"i_{t} {it}")
         print(f"sigma_{t} {kt + it}")
@@ -124,12 +125,15 @@ def cmd_bounds(args) -> int:
         raise ValueError(f"--graph6 instance has {g.n} vertices, --n says {n}")
     lead = leading_term_bound(t)
     try:
-        leading = f"{lead.bound(n):.6e}"
+        leading = lead.bound(n)
     except OverflowError:
         raise ValueError(f"--t {t} --n {n} is too large: leading_bound(n={n}) overflows a float") from None
+    # the bound is positive for every n >= 1, so a 0 here is a float underflow
+    if n and not leading:
+        raise ValueError(f"--t {t} is too large for --n {n}: leading_bound(n={n}) underflows a float")
     print(f"split_{t} {lead.split:.12f}")
     print(f"peak_{t} {lead.value:.12f}")
-    print(f"leading_bound(n={n}) {leading}")
+    print(f"leading_bound(n={n}) {leading:.6e}")
     print(f"pi_upper(n={n}) {(n + 1) * 2 ** n}")
     if n >= 1:
         joined, disjoint = extremal_one_turn_codes(n, t)
@@ -147,8 +151,8 @@ def cmd_bounds(args) -> int:
             print(f"construction_floor(r={r}) {2 ** n * (n / blocks) ** blocks:.6e}")
     if g is not None:
         kp, ip = clique_profile(g), independent_profile(g)
-        print(f"instance_pi {kp.total * ip.total}")
-        print(f"instance_pi_{t} {kp.count(t) * ip.count(t)}")
+        print(f"instance_pi {sum(kp) * sum(ip)}")
+        print(f"instance_pi_{t} {kp[t] * ip[t] if t <= n else 0}")
     return 0
 
 
@@ -209,10 +213,11 @@ def cmd_extremal(args) -> int:
 
 
 def cmd_exponent(args) -> int:
-    report = random_pi_exponent(args.n, args.trials, args.seed)
-    ratios = report.ratios
+    products = random_pi_exponent(args.n, args.trials, args.seed)
+    denom = log(args.n) * log2(args.n)
+    ratios = [log(p) / denom for p in products]
     lines = ["trial,pi,ratio"]
-    for i, (p, ratio) in enumerate(zip(report.products, ratios)):
+    for i, (p, ratio) in enumerate(zip(products, ratios)):
         lines.append(f"{i},{p},{ratio:.9f}")
     if args.out is not None:
         with open(args.out, "w", encoding="ascii") as fh:
@@ -220,7 +225,7 @@ def cmd_exponent(args) -> int:
     else:
         print("\n".join(lines))
     print(
-        f"# n={report.n} trials={len(ratios)} "
+        f"# n={args.n} trials={len(ratios)} "
         f"min={min(ratios):.6f} median={median(ratios):.6f} max={max(ratios):.6f}",
         file=sys.stderr,
     )

@@ -13,30 +13,16 @@ Counts are Python ints (arbitrary precision): k(K_62) = 2^62 already
 overflows 64 bits once multiplied into the product quantity.
 
 Conventions: the empty set and singletons count as cliques and as
-independent sets, so by_size[0] = 1 and by_size[1] = n for every graph.
+independent sets, so a profile p, the tuple whose entry p[t] counts the
+t-vertex sets, has length n + 1, p[0] = 1 and, for n >= 1, p[1] = n.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import comb
 
 from .graphs import Graph, complement_rows
-
-
-@dataclass(frozen=True)
-class CliqueProfile:
-    """by_size[t] = number of t-vertex cliques; length n+1."""
-
-    by_size: tuple[int, ...]
-
-    @property
-    def total(self) -> int:
-        return sum(self.by_size)
-
-    def count(self, t: int) -> int:
-        return self.by_size[t] if 0 <= t < len(self.by_size) else 0
 
 
 # A leaf's candidate set of s <= 3 vertices and e edges, by its slot s + e + (s > 2)
@@ -99,8 +85,8 @@ def _tree_profile(rows) -> tuple[int, ...]:
     return tuple(by_size)
 
 
-def clique_profile(g: Graph) -> CliqueProfile:
-    """Exact clique counts of every size, from the succinct clique tree.
+def clique_profile(g: Graph) -> tuple[int, ...]:
+    """Entry t counts the t-vertex cliques, from the succinct clique tree.
 
     A clique in the candidate set C either misses every non-neighbour of the
     max-degree pivot p, so it lies in C & N(p) plus optionally p, or it holds
@@ -111,16 +97,16 @@ def clique_profile(g: Graph) -> CliqueProfile:
     1 + s x + e x^2 + [e = 3] x^3 cliques, so the leaf adds
     x^h (1 + x)^q (1 + s x + e x^2 + [e = 3] x^3) to the profile.  Leaves are
     tallied by (h, q, s, e) and expanded once at the end."""
-    return CliqueProfile(_tree_profile(g.adj))
+    return _tree_profile(g.adj)
 
 
-def independent_profile(g: Graph) -> CliqueProfile:
-    """by_size[t] = number of t-vertex independent sets: the cliques of the
+def independent_profile(g: Graph) -> tuple[int, ...]:
+    """Entry t is the number of t-vertex independent sets: the cliques of the
     complemented rows."""
-    return CliqueProfile(_tree_profile(complement_rows(g.adj)))
+    return _tree_profile(complement_rows(g.adj))
 
 
-def profile_by_scan(g: Graph) -> CliqueProfile:
+def profile_by_scan(g: Graph) -> tuple[int, ...]:
     """Oracle: scan all 2^n subsets, extending cliques one vertex at a time.
 
     Deliberately independent of the clique tree.  Capped at n <= 20.
@@ -139,15 +125,15 @@ def profile_by_scan(g: Graph) -> CliqueProfile:
         if is_cl[rest] and adj[v] & rest == rest:
             is_cl[mask] = 1
             by_size[mask.bit_count()] += 1
-    return CliqueProfile(tuple(by_size))
+    return tuple(by_size)
 
 
 def count_cliques(g: Graph) -> int:
-    return clique_profile(g).total
+    return sum(clique_profile(g))
 
 
 def count_independent_sets(g: Graph) -> int:
-    return independent_profile(g).total
+    return sum(independent_profile(g))
 
 
 def sigma(g: Graph) -> int:
@@ -168,10 +154,10 @@ def _check_t(g: Graph, t: int) -> None:
 def sigma_t(g: Graph, t: int) -> int:
     """Number of size-t cliques plus number of size-t independent sets."""
     _check_t(g, t)
-    return clique_profile(g).count(t) + independent_profile(g).count(t)
+    return clique_profile(g)[t] + independent_profile(g)[t]
 
 
 def pi_t(g: Graph, t: int) -> int:
     """Number of size-t cliques times number of size-t independent sets."""
     _check_t(g, t)
-    return clique_profile(g).count(t) * independent_profile(g).count(t)
+    return clique_profile(g)[t] * independent_profile(g)[t]

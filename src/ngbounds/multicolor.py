@@ -159,13 +159,12 @@ def pigeonhole_sequence(n: int, r: int, length: int) -> tuple[int, ...]:
     return tuple(vals)
 
 
-def certificate_lower_bound(n: int, r: int, q: int | None = None) -> Fraction:
-    """prod(pigeonhole_sequence) / q!: a lower bound on the product of
-    per-color clique counts of any total r-coloring of an n-clique."""
-    if q is None:
-        q = certificate_length(n, r)
-    seq = pigeonhole_sequence(n, r, q)
-    return Fraction(prod(seq), factorial(q))
+def certificate_lower_bound(n: int, r: int) -> Fraction:
+    """prod(pigeonhole_sequence) / q! for q = certificate_length(n, r): a lower
+    bound on the product of per-color clique counts of any total r-coloring
+    of an n-clique."""
+    q = certificate_length(n, r)
+    return Fraction(prod(pigeonhole_sequence(n, r, q)), factorial(q))
 
 
 @dataclass(frozen=True)

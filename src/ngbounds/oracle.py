@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, gcd, log, log2, prod
+from math import comb, gcd, prod
 from operator import attrgetter
 from typing import Optional
 
@@ -341,32 +341,16 @@ def random_tournament(size: int, rng: np.random.Generator) -> Tournament:
     return Tournament(size, [i if rng.integers(0, 2) else j for i, j in edge_list(size)])
 
 
-@dataclass(frozen=True)
-class ExponentReport:
-    """Advisory log of the product's growth exponent on random graphs.
-
-    ratio[i] = log(pi) / (log n * log2 n) for trial i; no threshold is
-    asserted, the asymptotic claim is not checkable at desk scale.
-    """
-
-    n: int
-    products: tuple[int, ...]
-
-    @property
-    def ratios(self) -> tuple[float, ...]:
-        denom = log(self.n) * log2(self.n)
-        return tuple(log(p) / denom for p in self.products)
-
-
-def random_pi_exponent(n: int, trials: int, seed: int) -> ExponentReport:
-    """Sample G(n, 1/2) ``trials`` times and log the product exponent ratio.
-
-    Trial i draws from rng_for([seed, i]).  Every graph size, 2 <= n <= 62,
-    is allowed: random graphs have only small cliques, so exact counting
-    stays fast up to the 62-vertex cap.
+def random_pi_exponent(n: int, trials: int, seed: int) -> tuple[int, ...]:
+    """Advisory log of the product's growth exponent: pi of ``trials`` samples
+    of G(n, 1/2), trial i drawn from rng_for([seed, i]).  The ``exponent``
+    command prints each ratio log(pi) / (log n * log2 n); no threshold is
+    asserted, the asymptotic claim is not checkable at desk scale.  Every
+    2 <= n <= 62 is allowed: random graphs have only small cliques, so exact
+    counting stays fast up to the 62-vertex cap.
     """
     if not 2 <= n <= MAX_VERTICES:
         raise ValueError(f"exponent sampling needs 2 <= n <= {MAX_VERTICES}, got {n}")
     if trials < 1:
         raise ValueError("need at least one trial")
-    return ExponentReport(n, tuple(pi(sample_random_graph(n, rng_for([seed, i]))) for i in range(trials)))
+    return tuple(pi(sample_random_graph(n, rng_for([seed, i]))) for i in range(trials))

@@ -4,7 +4,7 @@ modules."""
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb, factorial
+from math import comb, factorial, log, log2
 
 import numpy as np
 
@@ -21,6 +21,11 @@ def path_graph(n: int) -> Graph:
 def cycle_graph(n: int) -> Graph:
     edges = [(i, (i + 1) % n) for i in range(n)]
     return Graph.from_edges(n, edges)
+
+
+def exponent_ratios(n: int, products) -> list[float]:
+    """log(pi) / (log n * log2 n) per trial, the ratio the exponent command prints."""
+    return [log(p) / (log(n) * log2(n)) for p in products]
 
 
 def complement(g: Graph) -> Graph:

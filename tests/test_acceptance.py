@@ -58,6 +58,7 @@ from ngbounds.verify import (
 
 from helpers import (
     conjugate,
+    exponent_ratios,
     one_turn_slope_identity,
     packed_pair,
     poly_at,
@@ -331,12 +332,12 @@ def test_acceptance_13_advisory_asymptotics():
     first = random_pi_exponent(30, trials=50, seed=99)
     second = random_pi_exponent(30, trials=50, seed=99)
     ok = first == second
-    ok &= all(isfinite(x) and x > 0 for x in first.ratios)
+    ok &= all(isfinite(x) and x > 0 for x in exponent_ratios(30, first))
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         ok &= main(["exponent", "--n", "30", "--trials", "50", "--seed", "99"]) == 0
     ok &= len(out.getvalue().splitlines()) == 51 and err.getvalue().startswith("# n=30 trials=50 ")
-    small = median(random_pi_exponent(10, trials=20, seed=99).ratios)
-    large = median(random_pi_exponent(40, trials=20, seed=99).ratios)
+    small = median(exponent_ratios(10, random_pi_exponent(10, trials=20, seed=99)))
+    large = median(exponent_ratios(40, random_pi_exponent(40, trials=20, seed=99)))
     detail = f"median ratio n=10: {small:.3f}, n=40: {large:.3f} (advisory)"
     assert _report("13 advisory-asymptotics", ok, detail)

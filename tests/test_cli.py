@@ -9,11 +9,11 @@ from pathlib import Path
 import pytest
 
 import ngbounds.verify
-from ngbounds import Graph, emit_graph6, multicolor_upper_bound
+from ngbounds import Graph, emit_graph6, multicolor_upper_bound, profile_by_scan
 from ngbounds.cli import main
 from ngbounds.verify import SUITES, Report
 
-from helpers import cycle_graph
+from helpers import complement, cycle_graph
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 BENCH_INPUTS = PERFBENCH / "inputs"
@@ -185,6 +185,22 @@ def test_bounds_with_instance(capsys):
     assert (code, out) == (2, "") and "input error" in err
 
 
+def test_count_and_bounds_print_the_scanned_size_counts_of_every_small_graph(capsys):
+    # both commands index the clique and independent-set profiles at t; bounds prints 0 once t passes n
+    for n in range(5):
+        for mask in range(1 << n * (n - 1) // 2):
+            g = Graph.from_edge_mask(n, mask)
+            g6, kp, ip = emit_graph6(g), profile_by_scan(g), profile_by_scan(complement(g))
+            for t in range(n + 1):
+                code, out, _ = run(capsys, "count", "--graph6", g6, "--t", str(t))
+                kt, it = kp[t], ip[t]
+                sized = [f"k_{t} {kt}", f"i_{t} {it}", f"sigma_{t} {kt + it}", f"pi_{t} {kt * it}"]
+                assert (code, out.splitlines()[-4:]) == (0, sized)
+            for t in range(3, n + 3):
+                code, out, _ = run(capsys, "bounds", "--graph6", g6, "--n", str(n), "--t", str(t))
+                assert (code, out.splitlines()[-1]) == (0, f"instance_pi_{t} {kp[t] * ip[t] if t <= n else 0}")
+
+
 def test_bounds_rejects_bad_sizes_before_printing(capsys):
     code, out, err = run(capsys, "bounds", "--t", "3", "--n", "5", "--r", "1")
     assert (code, out) == (2, "") and "colors" in err
@@ -253,14 +269,26 @@ def test_bounds_refuses_an_unprintable_t_before_any_work(capsys):
     last = 3
     while factorial(last + 1) < 10**limit:
         last += 1
-    code, out, _ = run(capsys, "bounds", "--t", str(last), "--n", "2")
+    code, out, _ = run(capsys, "bounds", "--t", str(last), "--n", "0")  # n = 0: the bound is exactly 0, no underflow
     assert code == 0 and out.splitlines()[0].startswith(f"split_{last} ")
-    for n, t in ((2, last + 1), (10, 3_000_000), (10, 10**18), (14000, 1100)):  # 14000^1100 has 4,562 digits
+    for n, t in ((0, last + 1), (10, 3_000_000), (10, 10**18), (14000, 1100)):  # 14000^1100 has 4,562 digits
         start = time.perf_counter()
         code, out, err = run(capsys, "bounds", "--t", str(t), "--n", str(n))
         assert (code, out) == (2, "")
-        assert f"--t {t} is too large for --n {n}" in err
+        assert f"--t {t} is too large for --n {n}: {n}^{t} or {t}! has more than {limit} digits" in err
         assert time.perf_counter() - start < 1
+
+
+def test_bounds_refuses_a_leading_term_that_underflows_before_printing(capsys):
+    # the bound is positive for every n >= 1; past float range it used to print as 0
+    for n, t in ((10, 200), (1, 170)):
+        code, out, err = run(capsys, "bounds", "--t", str(t), "--n", str(n))
+        assert (code, out) == (2, "")
+        assert f"--t {t} is too large for --n {n}: leading_bound(n={n}) underflows a float" in err
+    code, out, _ = run(capsys, "bounds", "--t", "60", "--n", "3")
+    assert code == 0 and out.splitlines()[2] == "leading_bound(n=3) 1.210426e-141"
+    code, out, _ = run(capsys, "bounds", "--t", "200", "--n", "0")  # exactly 0, so not refused
+    assert code == 0 and out.splitlines()[2] == "leading_bound(n=0) 0.000000e+00"
 
 
 def test_verify_known_suite(capsys):

@@ -85,10 +85,10 @@ def test_compress_monotone_counts():
         x = int(rng.integers(n))
         y = (x + 1 + int(rng.integers(n - 1))) % n
         out = compress(g, x, y)
-        before = independent_profile(g).by_size
-        after = independent_profile(out).by_size
+        before = independent_profile(g)
+        after = independent_profile(out)
         assert all(a <= b for a, b in zip(before, after))
-        assert all(a <= b for a, b in zip(clique_profile(g).by_size, clique_profile(out).by_size))
+        assert all(a <= b for a, b in zip(clique_profile(g), clique_profile(out)))
 
 
 def test_compress_to_threshold_fixed_point_on_threshold_graphs():

@@ -19,22 +19,22 @@ from helpers import complement, cycle_graph, gnp_graph, path_graph, random_graph
 
 
 def test_profile_fixtures():
-    assert clique_profile(Graph.complete(3)).by_size == (1, 3, 3, 1)
-    assert clique_profile(Graph.complete(3)).total == 8
-    assert clique_profile(Graph.empty(3)).by_size == (1, 3, 0, 0)
-    assert clique_profile(Graph.empty(3)).total == 4
-    assert clique_profile(path_graph(3)).by_size == (1, 3, 2, 0)
-    assert clique_profile(path_graph(3)).total == 6
+    assert clique_profile(Graph.complete(3)) == (1, 3, 3, 1)
+    assert sum(clique_profile(Graph.complete(3))) == 8
+    assert clique_profile(Graph.empty(3)) == (1, 3, 0, 0)
+    assert sum(clique_profile(Graph.empty(3))) == 4
+    assert clique_profile(path_graph(3)) == (1, 3, 2, 0)
+    assert sum(clique_profile(path_graph(3))) == 6
 
 
 def test_profile_conventions():
     for n in (0, 1, 4, 9):
         g = Graph.empty(n)
         prof = clique_profile(g)
-        assert prof.by_size[0] == 1
+        assert prof[0] == 1
         if n >= 1:
-            assert prof.by_size[1] == n
-        assert len(prof.by_size) == n + 1
+            assert prof[1] == n
+        assert len(prof) == n + 1
 
 
 def test_sigma_fixtures():
@@ -80,7 +80,7 @@ def test_profile_matches_subset_scan():
         rng = rng_for([13, trial])
         n = int(rng.integers(1, 17))
         g = random_graph(n, rng)
-        assert clique_profile(g).by_size == profile_by_scan(g).by_size
+        assert clique_profile(g) == profile_by_scan(g)
 
 
 def test_scan_cap():
@@ -93,8 +93,8 @@ def test_complement_duality():
         rng = rng_for([29, trial])
         n = int(rng.integers(0, 13))
         g = random_graph(n, rng)
-        assert independent_profile(g).by_size == clique_profile(complement(g)).by_size
-        assert clique_profile(g).by_size == independent_profile(complement(g)).by_size
+        assert independent_profile(g) == clique_profile(complement(g))
+        assert clique_profile(g) == independent_profile(complement(g))
 
 
 def test_sum_cap_small_exhaustive():
@@ -127,12 +127,12 @@ def test_sized_sum_cap_at_six_via_scan():
 def test_large_dense_profile_is_exact():
     # 2^62 cliques: arbitrary precision must hold up
     g = Graph.complete(62)
-    assert clique_profile(g).total == 2**62
+    assert sum(clique_profile(g)) == 2**62
     assert pi(g) == 63 * 2**62
     for n in (0, 1, 20, 40, 62):
         binomials = tuple(comb(n, t) for t in range(n + 1))
-        assert clique_profile(Graph.complete(n)).by_size == binomials
-        assert independent_profile(Graph.empty(n)).by_size == binomials
+        assert clique_profile(Graph.complete(n)) == binomials
+        assert independent_profile(Graph.empty(n)) == binomials
 
 
 def _memo_profile(g: Graph) -> tuple[int, ...]:
@@ -171,9 +171,9 @@ def test_engine_matches_subset_scan_at_every_size_to_twenty():
             symbols = "".join("+-"[b] for b in rng.integers(0, 2, size=n - 1))
             graphs.append(build(walk(symbols)))
         for g in graphs:
-            scan = profile_by_scan(g).by_size
-            assert clique_profile(g).by_size == scan
-            assert independent_profile(complement(g)).by_size == scan
+            scan = profile_by_scan(g)
+            assert clique_profile(g) == scan
+            assert independent_profile(complement(g)) == scan
 
 
 def test_engine_matches_subset_scan_on_every_graph_to_six_vertices():
@@ -182,18 +182,18 @@ def test_engine_matches_subset_scan_on_every_graph_to_six_vertices():
     for n in range(7):
         full = (1 << comb(n, 2)) - 1
         graphs = [Graph.from_edge_mask(n, mask) for mask in range(full + 1)]
-        scans = [profile_by_scan(g).by_size for g in graphs]
+        scans = [profile_by_scan(g) for g in graphs]
         for mask, (g, scan) in enumerate(zip(graphs, scans)):
-            assert clique_profile(g).by_size == scan
-            assert independent_profile(g).by_size == scans[full ^ mask]
+            assert clique_profile(g) == scan
+            assert independent_profile(g) == scans[full ^ mask]
 
 
 def test_engine_matches_memoized_recursion_on_dense_graphs():
     for n in (24, 33, 45):
         for p in (0.2, 0.5, 0.8):
             g = gnp_graph(n, p, rng_for([37, n, int(p * 10)]))
-            assert clique_profile(g).by_size == _memo_profile(g)
-            assert independent_profile(g).by_size == _memo_profile(complement(g))
+            assert clique_profile(g) == _memo_profile(g)
+            assert independent_profile(g) == _memo_profile(complement(g))
 
 
 def _join(parts) -> Graph:
@@ -219,16 +219,16 @@ def test_sixty_two_vertex_join_is_exact():
     assert joined.n == 62
     conv = [1]
     for part in parts:
-        prof = profile_by_scan(part).by_size
+        prof = profile_by_scan(part)
         out = [0] * (len(conv) + len(prof) - 1)
         for a, x in enumerate(conv):
             for b, y in enumerate(prof):
                 out[a + b] += x * y
         conv = out
-    assert clique_profile(joined).by_size == tuple(conv)
-    ind = independent_profile(joined).by_size
+    assert clique_profile(joined) == tuple(conv)
+    ind = independent_profile(joined)
     assert ind[0] == 1
     scans = [profile_by_scan(complement(part)) for part in parts]
     for t in range(1, 63):
-        assert ind[t] == sum(s.count(t) for s in scans)
+        assert ind[t] == sum(s[t] for s in scans if t < len(s))
     assert ind[1] == 62 and ind[17] == 0

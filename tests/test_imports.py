@@ -1,18 +1,19 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package and of the test suite uses each name it imports.
 
 No linter ships with the test extra, so the check walks each module's syntax
 tree: a name bound by an import statement must be read somewhere in the module.
-``__init__.py`` is left out, its imports are the package's exports."""
+The package's ``__init__.py`` is left out, its imports are the package's exports."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ngbounds"
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = [*sorted((ROOT / "src" / "ngbounds").glob("*.py")), *sorted((ROOT / "tests").glob("*.py"))]
 
 
 def test_every_module_uses_every_name_it_imports():
     unused = {}
-    for path in sorted(SRC.glob("*.py")):
+    for path in MODULES:
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -24,5 +25,5 @@ def test_every_module_uses_every_name_it_imports():
         }
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         if imported - read:
-            unused[path.name] = sorted(imported - read)
+            unused[str(path.relative_to(ROOT))] = sorted(imported - read)
     assert unused == {}

@@ -29,7 +29,7 @@ from ngbounds.graphs import edge_list
 from ngbounds.multicolor import certificate_lower_bound
 from ngbounds.oracle import WITNESS_CAP, _mask_counts, _popcount64, _tables, rng_for
 
-from helpers import coloring_product_by_color_loop, edge_count, extremal_by_gather
+from helpers import coloring_product_by_color_loop, edge_count, exponent_ratios, extremal_by_gather
 
 
 def test_exhaustive_pi_max_small():
@@ -127,7 +127,7 @@ def test_mask_counts_match_the_counting_engine(t):
         for idx in picks:
             g = Graph.from_edge_mask(n, int(masks[idx]))
             kp, ip = clique_profile(g), independent_profile(g)
-            want = (sum(kp.by_size), sum(ip.by_size)) if t is None else (kp.count(t), ip.count(t))
+            want = (sum(kp), sum(ip)) if t is None else (kp[t], ip[t])
             assert (kcnts[idx], icnts[idx]) == want, (n, masks[idx])
 
 
@@ -394,14 +394,15 @@ def test_random_pi_exponent(capsys):
     rep = random_pi_exponent(20, trials=20, seed=123)
     again = random_pi_exponent(20, trials=20, seed=123)
     assert rep == again
-    assert len(rep.ratios) == 20
-    assert all(math.isfinite(x) and x > 0 for x in rep.ratios)
+    ratios = exponent_ratios(20, rep)
+    assert len(ratios) == 20
+    assert all(math.isfinite(x) and x > 0 for x in ratios)
     assert main(["exponent", "--n", "20", "--trials", "20", "--seed", "123"]) == 0
     out, err = capsys.readouterr()
     lines = out.splitlines()
     assert lines[0] == "trial,pi,ratio"
     assert len(lines) == 21
-    assert lines[1:] == [f"{i},{p},{x:.9f}" for i, (p, x) in enumerate(zip(rep.products, rep.ratios))]
+    assert lines[1:] == [f"{i},{p},{x:.9f}" for i, (p, x) in enumerate(zip(rep, ratios))]
     summary = dict(field.split("=") for field in err.split()[1:])
     assert (summary["n"], summary["trials"]) == ("20", "20")
     assert float(summary["min"]) <= float(summary["median"]) <= float(summary["max"])
@@ -410,4 +411,4 @@ def test_random_pi_exponent(capsys):
     with pytest.raises(ValueError, match="exponent sampling"):
         random_pi_exponent(63, 5, 0)
     top = random_pi_exponent(62, trials=2, seed=123)
-    assert len(top.products) == 2 and all(math.isfinite(x) and x > 0 for x in top.ratios)
+    assert len(top) == 2 and all(math.isfinite(x) and x > 0 for x in exponent_ratios(62, top))

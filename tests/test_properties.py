@@ -59,13 +59,13 @@ def mutated(draw, texts):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(graphs())
 def test_clique_profile_matches_subset_scan(g):
-    assert clique_profile(g).by_size == profile_by_scan(g).by_size
+    assert clique_profile(g) == profile_by_scan(g)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(graphs())
 def test_independent_profile_is_clique_profile_of_complement(g):
-    assert independent_profile(g).by_size == clique_profile(complement(g)).by_size
+    assert independent_profile(g) == clique_profile(complement(g))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -76,7 +76,7 @@ def test_code_walk_sums_are_the_size_counts_of_the_built_graph(code):
     kp, ip = clique_profile(g), independent_profile(g)
     for t in range(2, 6):
         w, ends = _code_terms(len(code), t)
-        assert _walk_sums(w, code, ends, ends) == (kp.count(t), ip.count(t))
+        assert _walk_sums(w, code, ends, ends) == ((kp[t], ip[t]) if t <= g.n else (0, 0))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -88,7 +88,7 @@ def test_walk_closed_form_matches_the_built_graph_and_its_sides_pack(code):
     assert build(flipped) == g
     kp, ip = clique_profile(g), independent_profile(g)
     for t in range(2, 6):
-        assert closed_form_counts(path, t) == closed_form_counts(flipped, t) == (kp.count(t), ip.count(t))
+        assert closed_form_counts(path, t) == closed_form_counts(flipped, t) == ((kp[t], ip[t]) if t <= g.n else (0, 0))
     for split in (path, flipped):
         # the clique side's non-neighbour counts are the Gale-Ryser packed partner of the independent side's degrees
         s, r = walk_end(split.steps)
@@ -149,10 +149,10 @@ def _at_least_at_every_size(low, high) -> bool:
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(graphs(n_max=12))
 def test_compression_never_lowers_a_count_of_any_size(g):
-    cliques, independents = clique_profile(g).by_size, independent_profile(g).by_size
+    cliques, independents = clique_profile(g), independent_profile(g)
     for x in range(g.n):
         for y in range(g.n):
             if x != y:
                 out = compress(g, x, y)
-                assert _at_least_at_every_size(cliques, clique_profile(out).by_size), (x, y)
-                assert _at_least_at_every_size(independents, independent_profile(out).by_size), (x, y)
+                assert _at_least_at_every_size(cliques, clique_profile(out)), (x, y)
+                assert _at_least_at_every_size(independents, independent_profile(out)), (x, y)
