@@ -9,6 +9,10 @@ and a popcount.  Only clique tables are built: a subset is independent in a
 mask exactly when it is a clique of the complement mask, whose row and
 column are the reversed ones.  Sharding is by residue: shard k of K takes
 the masks congruent to k mod K, and partial records merge associatively.
+Within a shard the blocks alternate between two stripes, one scanned by the
+calling thread and one by a helper thread (numpy's loops release the
+interpreter lock); each stripe counts its blocks into its own buffers,
+allocated once and cache-sized, and the stripes merge like shards.
 The coloring scan tabulates k(G_mask) with the same kernel and evaluates
 every coloring as array lookups, color by color; witnesses are written from
 families of their color codes, with no member graph built.
@@ -21,8 +25,10 @@ Identical seeds give identical artifacts on any platform.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from itertools import combinations
+from functools import partial
+from itertools import combinations, cycle
 from math import comb, gcd, prod
 from operator import attrgetter
 from typing import Optional
@@ -38,7 +44,8 @@ WITNESS_CAP = 100
 _TOTAL_SCAN_MAX = 7  # 2^21 graphs
 _SIZED_SCAN_MAX = 8  # 2^28 graphs, fixed-size counts only
 _COLORING_LOOKUPS_MAX = 1 << 22  # r^(C(n,2)+1): 4^11 at (n, r) = (5, 4)
-_BLOCK = 1 << 17  # edge masks per block: its 1 MiB of AND words stays in cache, where 2^20 ran slower
+_BLOCK = 1 << 16  # edge masks per block: a stripe's 512 KiB of AND words stays in cache, where 2^20 ran slower
+_STRIPES = 2  # threads per graph-scan shard: the reference machine has nproc = 2
 
 # name -> (value of one parsed witness, the numpy ufunc that combines a
 # graph's clique and independent counts or a coloring's per-color counts)
@@ -83,14 +90,18 @@ class ExtremalRecord:
         return True
 
 
-def _popcount64(arr: np.ndarray) -> np.ndarray:
+def _popcount64(arr: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Bits set in each word of the uint64 array ``arr``, written into ``out``
+    (a fresh uint8 array when None) and returned."""
     if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(arr)
-    x = arr.copy()
-    x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
+        return np.bitwise_count(arr, out=out)
+    x = arr - ((arr >> np.uint64(1)) & np.uint64(0x5555555555555555))
     x = (x & np.uint64(0x3333333333333333)) + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333))
     x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    return ((x * np.uint64(0x0101010101010101)) >> np.uint64(56)).astype(np.uint8)
+    x *= np.uint64(0x0101010101010101)
+    if out is None:
+        out = np.empty(arr.shape, dtype=np.uint8)
+    return np.right_shift(x, np.uint64(56), out=out)
 
 
 def _tables(n: int, t: Optional[int]):
@@ -122,18 +133,24 @@ def _tables(n: int, t: Optional[int]):
     return lo_bits, words
 
 
-def _clique_counts(words, hi, lo) -> np.ndarray:
+def _clique_counts(words, hi, lo, ands, out) -> None:
+    """Tracked clique counts of edge masks hi[i] << lo_bits | lo[j] into
+    out[i, j], by way of the uint64 array ``ands`` of out's shape.  uint16 holds
+    every count and every combination of two: the totals scan tracks at most
+    2^7 = 128 subsets and the sized scan at most C(8, 4) = 70, so a product
+    is <= 16,384 and a sum <= 256."""
     (cl_lo, cl_hi), *rest = words
-    counts = _popcount64(cl_hi[hi, None] & cl_lo[lo]).astype(np.int32)  # holds 2^n and its square
+    _popcount64(np.bitwise_and(cl_hi[hi, None], cl_lo[lo], out=ands), out)
     for cl_lo, cl_hi in rest:
-        counts += _popcount64(cl_hi[hi, None] & cl_lo[lo])
-    return counts
+        out += _popcount64(np.bitwise_and(cl_hi[hi, None], cl_lo[lo], out=ands), ands)
 
 
-def _mask_counts(lo_bits: int, words, shards: int, shard: int):
+def _mask_counts(lo_bits: int, words, shards: int, shard: int, stripe: int = 0, stripes: int = 1):
     """Tracked clique and independent-set counts of the edge masks congruent
     to ``shard`` mod ``shards``, block by block: yields (hi, lo, kcnt, icnt),
-    the counts of mask hi[i] << lo_bits | lo[j] at [i, j].
+    the counts of mask hi[i] << lo_bits | lo[j] at [i, j].  Of the blocks in
+    layout order, this yields those whose index is ``stripe`` mod
+    ``stripes``.
 
     In row hi the shard's columns are the class (shard - hi 2^lo_bits) mod
     shards, so rows congruent mod shards / gcd(shards, 2^lo_bits) share one.
@@ -141,11 +158,14 @@ def _mask_counts(lo_bits: int, words, shards: int, shard: int):
     by a broadcast AND of their table words and a popcount; independent sets
     are the cliques of the complement, at the reversed row and column.  A
     block's masks are in increasing order row-major; blocks of different
-    progressions interleave.  A generator, so a block's arrays are freed
-    only as the next block's are built; freeing them at once lets the
-    allocator return and refault that memory every block."""
+    progressions interleave.  Every block is counted into the same three
+    buffers, allocated once, so a yielded block's arrays are overwritten
+    when the next one is asked for."""
     n_lo, n_hi = 1 << lo_bits, len(words[0][1])
     period = shards // gcd(shards, n_lo)
+    scratch = np.empty(_BLOCK, dtype=np.uint64)
+    kbuf, ibuf = np.empty(_BLOCK, dtype=np.uint16), np.empty(_BLOCK, dtype=np.uint16)
+    turns = cycle(range(stripes))
     for phase in range(min(period, n_hi)):
         lo = np.arange((shard - phase * n_lo) % shards, n_lo, shards)
         if not len(lo):
@@ -153,8 +173,39 @@ def _mask_counts(lo_bits: int, words, shards: int, shard: int):
         rows = np.arange(phase, n_hi, period)
         step = max(1, _BLOCK // len(lo))
         for start in range(0, len(rows), step):
+            if next(turns) != stripe:
+                continue
             hi = rows[start : start + step]
-            yield hi, lo, _clique_counts(words, hi, lo), _clique_counts(words, n_hi - 1 - hi, n_lo - 1 - lo)
+            shape, size = (len(hi), len(lo)), len(hi) * len(lo)
+            ands, kcnt, icnt = (buf[:size].reshape(shape) for buf in (scratch, kbuf, ibuf))
+            _clique_counts(words, hi, lo, ands, kcnt)
+            _clique_counts(words, n_hi - 1 - hi, n_lo - 1 - lo, ands, icnt)
+            yield hi, lo, kcnt, icnt
+
+
+def _merge_parts(parts, want_max: bool):
+    """Merge partial scan results (value, smallest witness masks, witness
+    total), value None for no mask: the best value, the WITNESS_CAP smallest
+    masks of the parts that reach it, and the sum of their totals."""
+    live = [part for part in parts if part[0] is not None]
+    if not live:
+        return None, [], 0
+    best = (max if want_max else min)(value for value, _, _ in live)
+    top = [part for part in live if part[0] == best]
+    return best, sorted(mk for _, masks, _ in top for mk in masks)[:WITNESS_CAP], sum(total for _, _, total in top)
+
+
+def _scan_stripe(lo_bits: int, words, shards: int, shard: int, combine, want_max: bool, stripe: int):
+    """The partial result (see ``_merge_parts``) of one stripe of one shard."""
+    part = (None, [], 0)
+    for hi, lo, kcnt, icnt in _mask_counts(lo_bits, words, shards, shard, stripe, _STRIPES):
+        vals = combine(kcnt, icnt, out=kcnt)
+        ext = int(vals.max() if want_max else vals.min())
+        if part[0] is None or (ext >= part[0] if want_max else ext <= part[0]):
+            hits = np.flatnonzero(vals == ext)
+            rows, cols = np.divmod(hits[:WITNESS_CAP], len(lo))
+            part = _merge_parts([part, (ext, (hi[rows] << lo_bits | lo[cols]).tolist(), len(hits))], want_max)
+    return part
 
 
 def exhaustive_extremal(
@@ -193,26 +244,29 @@ def exhaustive_extremal(
     if not 0 <= shard < shards:
         raise ValueError(f"shard must be in [0, {shards}), got {shard}")
 
-    lo_bits, words = _tables(n, t if sized else None)
-    combine = _GRAPH_QUANTITIES[quantity][1]
     want_max = direction == "max"
+    combine = _GRAPH_QUANTITIES[quantity][1]
+    scan = partial(_scan_stripe, *_tables(n, t if sized else None), shards, shard, combine, want_max)
+    parts: list = [None] * _STRIPES
 
-    best: Optional[int] = None
-    masks: list[int] = []
-    total_wit = 0
-    for hi, lo, kcnt, icnt in _mask_counts(lo_bits, words, shards, shard):
-        vals = combine(kcnt, icnt, out=kcnt)
-        del icnt  # so the next block's arrays reuse its memory (see _mask_counts)
-        ext = int(vals.max() if want_max else vals.min())
-        if best is None or (ext > best if want_max else ext < best):
-            best = ext
-            masks = []
-            total_wit = 0
-        if ext == best:
-            hits = np.flatnonzero(vals == ext)
-            total_wit += len(hits)
-            rows, cols = np.divmod(hits[:WITNESS_CAP], len(lo))
-            masks = sorted(masks + (hi[rows] << lo_bits | lo[cols]).tolist())[:WITNESS_CAP]
+    def run(stripe: int) -> None:
+        try:
+            parts[stripe] = scan(stripe)
+        except BaseException as exc:  # re-raised by the caller after the join
+            parts[stripe] = exc
+
+    helpers = [threading.Thread(target=run, args=(stripe,)) for stripe in range(1, _STRIPES)]
+    for helper in helpers:
+        helper.start()
+    try:
+        parts[0] = scan(0)
+    finally:
+        for helper in helpers:
+            helper.join()
+    for part in parts:
+        if isinstance(part, BaseException):
+            raise part
+    best, masks, total_wit = _merge_parts(parts, want_max)
     witnesses = tuple(emit_graph6(Graph.from_edge_mask(n, mk)) for mk in masks)
     return ExtremalRecord(n, quantity, direction, t if sized else None, best, witnesses, total_wit)
 
@@ -278,7 +332,7 @@ def exhaustive_coloring_extremal(n: int, r: int, quantity: str, direction: str) 
         fam = GraphFamily(n, r, [0] * m)
         return ExtremalRecord(n, quantity, direction, None, evaluate(fam), (emit_coloring(fam),), 1, r)
     # one shard: every block is whole rows, so the blocks run in mask order
-    kcnt = np.concatenate([k.ravel() for _, _, k, _ in _mask_counts(*_tables(n, None), 1, 0)]).astype(np.int64)
+    kcnt = np.concatenate([k.ravel().astype(np.int64) for _, _, k, _ in _mask_counts(*_tables(n, None), 1, 0)])
     low = m // 2
     bits = np.int64(1) << np.arange(m, dtype=np.int64)
     lo_digits = np.arange(r**low)[:, None] // r ** np.arange(low) % r

@@ -317,7 +317,7 @@ def coloring_product_by_color_loop(n: int, r: int, direction: str):
     multiplying every code's r table lookups, one color at a time, in an
     object array of exact ints."""
     m = n * (n - 1) // 2
-    kcnt = np.concatenate([k.ravel() for _, _, k, _ in _mask_counts(*_tables(n, None), 1, 0)])
+    kcnt = np.concatenate([k.flatten() for _, _, k, _ in _mask_counts(*_tables(n, None), 1, 0)])
     table = kcnt.astype(object)
     low = m // 2
     bits = np.int64(1) << np.arange(m, dtype=np.int64)

@@ -1,4 +1,5 @@
 import math
+import threading
 import time
 from itertools import product
 
@@ -27,7 +28,8 @@ from ngbounds import (
 from ngbounds.cli import main
 from ngbounds.graphs import edge_list
 from ngbounds.multicolor import certificate_lower_bound
-from ngbounds.oracle import WITNESS_CAP, _mask_counts, _popcount64, _tables, rng_for
+from ngbounds import oracle
+from ngbounds.oracle import WITNESS_CAP, _mask_counts, _popcount64, _scan_stripe, _tables, rng_for
 
 from helpers import coloring_product_by_color_loop, edge_count, exponent_ratios, extremal_by_gather
 
@@ -90,13 +92,14 @@ def test_exhaustive_extremal_validation():
 
 def _block_masks(lo_bits, blocks):
     """Every mask of a kernel scan, block by block in row-major order, with
-    its clique and independent-set counts."""
+    its clique and independent-set counts (copied: the kernel reuses its
+    buffers from block to block)."""
     masks, kcnts, icnts = [], [], []
     for hi, lo, kcnt, icnt in blocks:
         assert kcnt.shape == icnt.shape == (len(hi), len(lo))
         masks.append((hi[:, None] << lo_bits | lo).ravel())
-        kcnts.append(kcnt.ravel())
-        icnts.append(icnt.ravel())
+        kcnts.append(kcnt.flatten())
+        icnts.append(icnt.flatten())
     return np.concatenate(masks), np.concatenate(kcnts), np.concatenate(icnts)
 
 
@@ -158,20 +161,69 @@ def test_block_scan_records_match_the_gather_scan_at_n7(shards):
             assert got == extremal_by_gather(7, quantity, direction, t, shards, shard), (quantity, shard)
 
 
+@pytest.mark.parametrize(
+    "direction, shards, shard, reached",
+    [("min", 1, 0, [True, True]), ("max", 2, 1, [False, True])],
+    ids=["both-stripes", "helper-only"],
+)
+def test_stripe_merge_matches_the_gather_scan(direction, shards, shard, reached):
+    # n = 7 has 2^21 masks in blocks of 2^16, dealt in turn to the caller's
+    # stripe 0 and the helper's stripe 1.  pi min on one shard has 1,260
+    # witnesses: the 100 kept come from both stripes, interleaved by mask,
+    # and the total sums both.  pi max on shard 1 of 2 (the odd masks)
+    # reaches 1,024 only at K_7, in the helper's stripe; the caller's best is 910
+    lo_bits, words = _tables(7, None)
+    parts = [_scan_stripe(lo_bits, words, shards, shard, np.multiply, direction == "max", s) for s in range(2)]
+    rec = exhaustive_extremal(7, "pi", direction, shards=shards, shard=shard)
+    assert rec == extremal_by_gather(7, "pi", direction, None, shards, shard)
+    kept = set(rec.witnesses)
+    assert [
+        value == rec.value and not kept.isdisjoint(emit_graph6(Graph.from_edge_mask(7, mk)) for mk in masks)
+        for value, masks, _ in parts
+    ] == reached
+    assert rec.total_witnesses == sum(total for value, _, total in parts if value == rec.value)
+
+
+@pytest.mark.parametrize("in_helper", [True, False])
+def test_a_failing_stripe_raises_and_leaves_no_thread(monkeypatch, in_helper):
+    caller = threading.current_thread()
+    kernel = oracle._clique_counts
+
+    def failing(*args):
+        if (threading.current_thread() is not caller) == in_helper:
+            raise RuntimeError("block kernel failed")
+        kernel(*args)
+
+    monkeypatch.setattr(oracle, "_clique_counts", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="block kernel failed"):
+        exhaustive_extremal(7, "pi", "max")
+    assert threading.active_count() == before
+
+
 def test_block_scan_without_bitwise_count(monkeypatch):
-    want = [extremal_by_gather(5, "pi", "max", None, 3, s) for s in range(3)]
+    # n = 7: 32 blocks on one shard, 16 per stripe, and about 11 on each of
+    # three shards; its 128 tracked subsets fill two table words
+    scans = [("min", 1, 0)] + [("max", 3, s) for s in range(3)]
+    want = [extremal_by_gather(7, "pi", d, None, shards, s) for d, shards, s in scans]
     monkeypatch.delattr(np, "bitwise_count", raising=False)  # numpy 1.x has none
-    assert [exhaustive_extremal(5, "pi", "max", shards=3, shard=s) for s in range(3)] == want
+    assert [exhaustive_extremal(7, "pi", d, shards=shards, shard=s) for d, shards, s in scans] == want
 
 
 def test_popcount_fallback_matches_bitwise_count(monkeypatch):
     seeded = rng_for([11]).integers(0, 2**64, size=500, dtype=np.uint64)
     words = np.concatenate([np.array([0, 2**64 - 1], dtype=np.uint64), seeded])
     want = [int(w).bit_count() for w in words]
-    assert _popcount64(words).tolist() == want
-    monkeypatch.delattr(np, "bitwise_count", raising=False)  # numpy 1.x has none
-    got = _popcount64(words)
-    assert got.dtype == np.uint8 and got.tolist() == want
+    for fallback in (False, True):
+        if fallback:
+            monkeypatch.delattr(np, "bitwise_count", raising=False)  # numpy 1.x has none
+        got = _popcount64(words)
+        assert got.dtype == np.uint8 and got.tolist() == want
+        # the block kernel counts into uint16 buffers, and in place for a second word
+        out = np.empty(len(words), dtype=np.uint16)
+        assert _popcount64(words, out) is out and out.tolist() == want
+        in_place = words.copy()
+        assert _popcount64(in_place, in_place).tolist() == want
 
 
 def test_merge_records_rejects_mixed_scans():
