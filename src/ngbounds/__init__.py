@@ -32,7 +32,6 @@ from .graphs import (
 )
 from .multicolor import (
     ColoringFormatError,
-    GoodSequenceCertificate,
     GraphFamily,
     Tournament,
     certificate_length,
@@ -42,6 +41,7 @@ from .multicolor import (
     count_good_sequences,
     emit_coloring,
     good_sequence_certificate,
+    is_good_sequence,
     multicolor_upper_bound,
     parse_coloring,
     pigeonhole_sequence,
@@ -63,7 +63,6 @@ from .oracle import (
 )
 from .packing import (
     BorderPath,
-    LeadingTermBound,
     discrete_border_max,
     leading_term_bound,
     one_turn_value,

@@ -123,16 +123,17 @@ def cmd_bounds(args) -> int:
     g = parse_graph6(args.graph6.strip()) if args.graph6 is not None else None
     if g is not None and g.n != n:
         raise ValueError(f"--graph6 instance has {g.n} vertices, --n says {n}")
-    lead = leading_term_bound(t)
+    split, value = leading_term_bound(t)
     try:
-        leading = lead.bound(n)
+        leading = (n**t / factorial(t)) ** 2 * value
     except OverflowError:
         raise ValueError(f"--t {t} --n {n} is too large: leading_bound(n={n}) overflows a float") from None
     # the bound is positive for every n >= 1, so a 0 here is a float underflow
     if n and not leading:
         raise ValueError(f"--t {t} is too large for --n {n}: leading_bound(n={n}) underflows a float")
-    print(f"split_{t} {lead.split:.12f}")
-    print(f"peak_{t} {lead.value:.12f}")
+    print(f"split_{t} {split:.12f}")
+    # fixed point shows at least 7 significant digits down to 1e-6; a smaller peak would read as 0
+    print(f"peak_{t} {value:.12f}" if value >= 1e-6 else f"peak_{t} {value:.6e}")
     print(f"leading_bound(n={n}) {leading:.6e}")
     print(f"pi_upper(n={n}) {(n + 1) * 2 ** n}")
     if n >= 1:

@@ -22,22 +22,6 @@ class Graph6Error(ValueError):
     """Malformed graph6 input."""
 
 
-class Graph6HeaderError(Graph6Error):
-    """Missing or out-of-range header byte."""
-
-
-class Graph6SizeError(Graph6Error):
-    """Graph too large for the short form (n > 62)."""
-
-
-class Graph6LengthError(Graph6Error):
-    """Wrong number of data bytes (truncated or trailing input)."""
-
-
-class Graph6ByteError(Graph6Error):
-    """Data byte outside the printable graph6 range, or nonzero padding."""
-
-
 def iter_bits(mask: int):
     """Yield the set bit positions of ``mask`` in increasing order."""
     while mask:
@@ -141,18 +125,18 @@ def parse_graph6(text: str) -> Graph:
     significant bit first, zero padded.
     """
     if not text:
-        raise Graph6HeaderError("empty graph6 string")
+        raise Graph6Error("empty graph6 string")
     head = ord(text[0])
     if head == 126:
-        raise Graph6SizeError("long-form graph6 header '~' means n > 62, not supported")
+        raise Graph6Error("long-form graph6 header '~' means n > 62, not supported")
     if not 63 <= head <= 125:
-        raise Graph6HeaderError(f"header byte {text[0]!r} (ordinal {head}) outside [63, 125]")
+        raise Graph6Error(f"header byte {text[0]!r} (ordinal {head}) outside [63, 125]")
     n = head - 63
     need = _data_len(n)
     body = text[1:]
     if len(body) != need:
         kind = "trailing" if len(body) > need else "missing"
-        raise Graph6LengthError(
+        raise Graph6Error(
             f"{n}-vertex code needs {need} data byte(s), got {len(body)} ({kind} bytes)"
         )
     rows = [0] * n
@@ -164,7 +148,7 @@ def parse_graph6(text: str) -> Graph:
     for pos, ch in enumerate(body):
         val = ord(ch) - 63
         if not 0 <= val <= 63:
-            raise Graph6ByteError(f"data byte {pos + 1} ({ch!r}) outside graph6 range")
+            raise Graph6Error(f"data byte {pos + 1} ({ch!r}) outside graph6 range")
         for k in range(6):
             bit = (val >> (5 - k)) & 1
             if slot < total:
@@ -173,7 +157,7 @@ def parse_graph6(text: str) -> Graph:
                     rows[i] |= 1 << j
                     rows[j] |= 1 << i
             elif bit:
-                raise Graph6ByteError(f"nonzero padding bit in data byte {pos + 1}")
+                raise Graph6Error(f"nonzero padding bit in data byte {pos + 1}")
             slot += 1
     return Graph(n, tuple(rows))
 

@@ -167,67 +167,44 @@ def certificate_lower_bound(n: int, r: int) -> Fraction:
     return Fraction(prod(pigeonhole_sequence(n, r, q)), factorial(q))
 
 
-@dataclass(frozen=True)
-class GoodSequenceCertificate:
-    """Witness for the product lower bound.
-
-    vertices: distinct sequence v_1..v_q; colors[i] (0-based member index)
-    puts every later vertex inside that color's neighborhood of v_i.
-    choice_counts is the pigeonhole sequence and bound its product over q!.
-    """
-
-    vertices: tuple[int, ...]
-    colors: tuple[int, ...]
-    choice_counts: tuple[int, ...]
-    bound: Fraction
-
-    def is_valid(self, fam: GraphFamily) -> bool:
-        """Re-check every certificate promise against the family, without
-        trusting how the certificate was built."""
-        q = len(self.vertices)
-        if len(self.colors) != max(0, q - 1) or len(self.choice_counts) != q:
+def is_good_sequence(fam: GraphFamily, vertices, colors) -> bool:
+    """True iff ``vertices`` are distinct vertices of ``fam``, ``colors`` has one
+    entry fewer, and color ``colors[i]`` (0-based) joins ``vertices[i]`` to every
+    later vertex.  Trusts nothing about how the sequence was built."""
+    q = len(vertices)
+    if len(colors) != max(0, q - 1) or len(set(vertices)) != q:
+        return False
+    if any(not 0 <= v < fam.n for v in vertices):
+        return False
+    for i, color in enumerate(colors):
+        if not 0 <= color < fam.r:
             return False
-        if len(set(self.vertices)) != q:
-            return False
-        if any(not 0 <= v < fam.n for v in self.vertices):
-            return False
-        if self.choice_counts != pigeonhole_sequence(fam.n, fam.r, q):
-            return False
-        if self.bound != Fraction(prod(self.choice_counts), factorial(q)):
-            return False
-        for i, color in enumerate(self.colors):
-            if not 0 <= color < fam.r:
+        row = fam.members[color].adj[vertices[i]]
+        for later in vertices[i + 1 :]:
+            if not (row >> later) & 1:
                 return False
-            row = fam.members[color].adj[self.vertices[i]]
-            for later in self.vertices[i + 1 :]:
-                if not (row >> later) & 1:
-                    return False
-        return True
+    return True
 
 
-def good_sequence_certificate(fam: GraphFamily, q: int | None = None) -> GoodSequenceCertificate:
-    """Greedily build a good sequence of length q (default: the largest m
-    with r^m <= n) in a total coloring.
+def good_sequence_certificate(fam: GraphFamily) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Greedily build a good sequence ``(vertices, colors)`` (see
+    ``is_good_sequence``) of length ``certificate_length(n, r)`` in a total
+    coloring, the witness of ``certificate_lower_bound(n, r)``.
 
     At each step the (color, vertex) pair with the largest monochromatic
     neighborhood inside the surviving set is chosen, ties to the lowest
     color index and then the lowest vertex index, so certificates are
     deterministic.  The pigeonhole argument guarantees the greedy never runs
-    out of vertices while the choice counts stay positive.
+    out of vertices, as the choice counts stay positive at this length.
     """
     if fam.r < 2:
         raise ValueError("certificates need at least 2 colors")
     if not fam.covers_all_edges:
         raise ValueError("certificate construction needs a total coloring")
-    n = fam.n
-    if q is None:
-        q = certificate_length(n, fam.r)
-    counts = pigeonhole_sequence(n, fam.r, q)
-    if any(x < 1 for x in counts):
-        raise ValueError(f"no certificate of length {q}: guaranteed choices hit zero")
+    q = certificate_length(fam.n, fam.r)
     verts: list[int] = []
     colors: list[int] = []
-    alive = (1 << n) - 1
+    alive = (1 << fam.n) - 1
     for step in range(q):
         if step == q - 1:
             verts.append((alive & -alive).bit_length() - 1)
@@ -243,8 +220,7 @@ def good_sequence_certificate(fam: GraphFamily, q: int | None = None) -> GoodSeq
         verts.append(best_v)
         colors.append(best_color)
         alive &= fam.members[best_color].adj[best_v]
-    bound = Fraction(prod(counts), factorial(q))
-    return GoodSequenceCertificate(tuple(verts), tuple(colors), counts, bound)
+    return tuple(verts), tuple(colors)
 
 
 def count_good_sequences(fam: GraphFamily, q: int) -> int:

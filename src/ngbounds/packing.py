@@ -163,30 +163,10 @@ def one_turn_value(t: int, q: float) -> float:
     return q**t * (1 - q) ** (t - 1) * (1 + (t - 1) * q)
 
 
-@dataclass(frozen=True)
-class LeadingTermBound:
-    """Leading coefficient of the size-t product bound.
-
-    split: the maximizing independent-side fraction, in (0, 1)
-    value: one_turn_value(t, split)
-    """
-
-    t: int
-    split: float
-    value: float
-
-    def __post_init__(self):
-        if not 0 < self.split < 1:
-            raise ValueError("split fraction must lie strictly between 0 and 1")
-
-    def bound(self, n: int) -> float:
-        """(n^t / t!)^2 * value: the leading term of the product bound."""
-        return (n**self.t / factorial(self.t)) ** 2 * self.value
-
-
-def leading_term_bound(t: int) -> LeadingTermBound:
-    """Closed-form optimal split and its value; t >= 3."""
+def leading_term_bound(t: int) -> tuple[float, float]:
+    """Closed-form optimal split in (0, 1) and its value one_turn_value(t, split),
+    t >= 3; the leading term of the product bound is (n^t / t!)^2 * value."""
     if t < 3:
         raise ValueError(f"leading-term analysis needs t >= 3, got {t}")
     split = 0.25 * (t - 2 + sqrt(t * t + 4 * t - 4)) / (t - 1)
-    return LeadingTermBound(t, split, one_turn_value(t, split))
+    return split, one_turn_value(t, split)

@@ -68,7 +68,7 @@ def extremal_one_turn_codes(n: int, t: int) -> tuple[BorderPath, BorderPath]:
     """
     if n < 1:
         raise ValueError("need at least one vertex")
-    big = min(max(ceil(leading_term_bound(t).split * n), 1), n)
+    big = min(max(ceil(leading_term_bound(t)[0] * n), 1), n)
     complete_split = BorderPath("+" * (n - big) + "-" * big)
     return complete_split, complete_split.complemented()
 

@@ -17,11 +17,14 @@ from .counting import _tree_profile
 from .graphs import MAX_VERTICES, Graph, complement_rows, emit_graph6
 from .multicolor import (
     GraphFamily,
+    certificate_length,
+    certificate_lower_bound,
     construction_value,
     count_covering_tuples,
     count_good_sequences,
     emit_coloring,
     good_sequence_certificate,
+    is_good_sequence,
     multicolor_upper_bound,
     pigeonhole_sequence,
     product_clique_counts,
@@ -234,11 +237,12 @@ def verify_multicolor(trials: int = 100, seed: int = 23) -> Report:
         if not low <= mid <= hi:
             rep.fail(f"sandwich {low} <= {mid} <= {hi} fails at n={n} r={r} q={q}", blob)
 
-        cert = good_sequence_certificate(fam)
-        if not cert.is_valid(fam):
+        vertices, colors = good_sequence_certificate(fam)
+        if len(vertices) != certificate_length(n, r) or not is_good_sequence(fam, vertices, colors):
             rep.fail(f"greedy certificate invalid at n={n} r={r}", blob)
-        if cert.bound > product:
-            rep.fail(f"certificate bound {cert.bound} exceeds the product", blob)
+        bound = certificate_lower_bound(n, r)
+        if bound > product:
+            rep.fail(f"certificate bound {bound} exceeds the product", blob)
 
         total = sum_clique_counts(fam)
         if total**r < r**r * product:

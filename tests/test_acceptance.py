@@ -146,7 +146,7 @@ def test_acceptance_06_boundary_lemma_desk_scale():
         ok &= i == 0 or j == 0
     ratio = ratio_polynomial(3)
     ok &= ratio[1] < 0 and sign_changes(ratio[1:]) == 1 and poly_at(ratio, 2) == 0
-    split = leading_term_bound(3).split
+    split = leading_term_bound(3)[0]
     ok &= split == (1 + sqrt(17)) / 8
     p3 = split_polynomial(3)
     delta = Fraction(1, 10**12)
@@ -174,7 +174,7 @@ def test_acceptance_07_border_reduction():
     n = 14, with 16200 against 16201.17.
     """
     rep = verify_borders(t=3, n_max=20)
-    coefficient = Fraction(leading_term_bound(3).value)
+    coefficient = Fraction(leading_term_bound(3)[1])
     maxima = {
         int(m["n"]): Fraction(m["value"]) for m in map(_BORDER_MAX_LINE.match, rep.lines) if m
     }
@@ -232,8 +232,7 @@ def test_acceptance_08b_leading_term_at_n60():
     fixed fraction like 0.9 of the leading term at this n.
     """
     t = 3
-    lead = leading_term_bound(t)
-    q = lead.split
+    q, peak = leading_term_bound(t)
     c3 = 3 / q + 3 / ((1 - q) * (1 + 2 * q))
 
     n = 60
@@ -246,7 +245,7 @@ def test_acceptance_08b_leading_term_at_n60():
     ratios = {}
     for m in (60, 120, 240, 480, 960):
         s_k, s_i = closed_form_counts(extremal_one_turn_codes(m, t)[0], t)
-        ratios[m] = s_k * s_i / lead.bound(m)
+        ratios[m] = s_k * s_i / ((m**t / factorial(t)) ** 2 * peak)
     ok = all(1 - c3 / m <= ratio < 1 for m, ratio in ratios.items())
     ladder = list(ratios.values())
     ok &= all(a < b for a, b in zip(ladder, ladder[1:]))

@@ -3,13 +3,13 @@ import json
 import sys
 import time
 from fractions import Fraction
-from math import factorial
+from math import factorial, isclose
 from pathlib import Path
 
 import pytest
 
 import ngbounds.verify
-from ngbounds import Graph, emit_graph6, multicolor_upper_bound, profile_by_scan
+from ngbounds import Graph, emit_coloring, emit_graph6, leading_term_bound, multicolor_upper_bound, profile_by_scan
 from ngbounds.cli import main
 from ngbounds.verify import SUITES, Report
 
@@ -262,6 +262,17 @@ def test_bounds_refuses_a_leading_term_past_float_range_before_printing(capsys):
     assert code == 0 and out.splitlines()[2].startswith("leading_bound(n=100) ")
 
 
+def test_bounds_prints_every_positive_peak_to_seven_significant_digits(capsys):
+    # fixed point down to 1e-6 and scientific below it; in fixed point alone
+    # the peak read 0.000000000000 from t = 23 on
+    for t in range(3, 89):  # t = 89 is the first size whose leading bound underflows at n = 1
+        code, out, _ = run(capsys, "bounds", "--t", str(t), "--n", "1")
+        line = out.splitlines()[1]
+        assert code == 0 and line.startswith(f"peak_{t} ")
+        peak = float(line.split()[1])
+        assert peak > 0 and isclose(peak, leading_term_bound(t)[1], rel_tol=1e-6)
+
+
 def test_bounds_refuses_an_unprintable_t_before_any_work(capsys):
     # leading_bound builds n^t and t! as exact ints: past the digit limit a large t ran for
     # minutes and then printed a leading bound of 0
@@ -447,6 +458,34 @@ def test_verify_reports_violations_with_exit_one(capsys):
     assert "Bw" in out
 
 
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda vertices, colors: (vertices[:-1], colors[:-1]) if vertices else None,
+        lambda vertices, colors: (vertices, (1 - colors[0],) + colors[1:]) if colors else None,
+    ],
+    ids=["one-vertex-short", "flipped-color"],
+)
+def test_verify_multicolor_reports_an_invalid_certificate_with_its_coloring(capsys, monkeypatch, corrupt):
+    greedy, blobs = ngbounds.verify.good_sequence_certificate, []
+
+    def corrupted(fam):
+        cert = greedy(fam)
+        bad = corrupt(*cert)
+        if bad is None:  # n < r leaves no vertex to drop, n < r^2 no color to flip
+            return cert
+        blobs.append(emit_coloring(fam))
+        return bad
+
+    monkeypatch.setattr("ngbounds.verify.good_sequence_certificate", corrupted)
+    code, out, _ = run(capsys, "verify", "multicolor", "--trials", "10")
+    assert code == 1 and out.endswith("multicolor: FAIL\n")
+    violations = [line for line in out.splitlines() if line.startswith("VIOLATION: ")]
+    assert blobs and len(violations) == len(blobs)
+    assert all(line.startswith("VIOLATION: greedy certificate invalid at n=") for line in violations)
+    assert out.split("counterexample:\n")[1:] == [blob + "\n" for blob in blobs[:-1]] + [blobs[-1] + "\nmulticolor: FAIL\n"]
+
+
 def test_extremal_command(capsys):
     code, out, _ = run(capsys, "extremal", "--n", "3", "--quantity", "pi", "--direction", "max")
     assert code == 0
@@ -585,4 +624,7 @@ def test_readme_quick_start_runs_and_prints_what_its_comments_state(capsys):
     block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(block, "README.md quick start", "exec"), {})
     lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4
     assert lines[:2] == ["22 121", "True"]
+    assert lines[2].startswith("0.6403882032022076 100388864.607")
+    assert lines[3] == "27/2 True"

@@ -1,14 +1,7 @@
 import pytest
 
 from ngbounds import Graph, emit_graph6, parse_graph6
-from ngbounds.graphs import (
-    Graph6ByteError,
-    Graph6HeaderError,
-    Graph6LengthError,
-    Graph6SizeError,
-    edge_list,
-    edge_slot,
-)
+from ngbounds.graphs import Graph6Error, edge_list, edge_slot
 from ngbounds.oracle import rng_for
 
 from helpers import complement, gnp_graph, path_graph, random_graph
@@ -87,20 +80,17 @@ def test_graph6_round_trip_random():
 
 
 def test_graph6_errors_are_distinct():
-    with pytest.raises(Graph6HeaderError):
-        parse_graph6("")
-    with pytest.raises(Graph6HeaderError):
-        parse_graph6(chr(62))
-    with pytest.raises(Graph6SizeError):
-        parse_graph6("~??")  # long form means n > 62
-    with pytest.raises(Graph6LengthError):
-        parse_graph6("D?")  # truncated body
-    with pytest.raises(Graph6LengthError):
-        parse_graph6("A_?")  # trailing byte
-    with pytest.raises(Graph6ByteError):
-        parse_graph6("A" + chr(200))
-    with pytest.raises(Graph6ByteError):
-        parse_graph6("A" + chr(63 + 1))  # nonzero padding bits for n = 2
+    for text, message in (
+        ("", "empty graph6 string"),
+        (chr(62), r"header byte '>' \(ordinal 62\) outside \[63, 125\]"),
+        ("~??", "long-form graph6 header '~' means n > 62, not supported"),
+        ("D?", r"5-vertex code needs 2 data byte\(s\), got 1 \(missing bytes\)"),  # truncated body
+        ("A_?", r"2-vertex code needs 1 data byte\(s\), got 2 \(trailing bytes\)"),  # trailing byte
+        ("A" + chr(200), "data byte 1 .* outside graph6 range"),
+        ("A" + chr(63 + 1), "nonzero padding bit in data byte 1"),  # nonzero padding bits for n = 2
+    ):
+        with pytest.raises(Graph6Error, match=f"^{message}$"):
+            parse_graph6(text)
 
 
 def test_mask_helpers():

@@ -16,6 +16,7 @@ from ngbounds import (
     count_good_sequences,
     emit_coloring,
     good_sequence_certificate,
+    is_good_sequence,
     multicolor_upper_bound,
     parse_coloring,
     pigeonhole_sequence,
@@ -158,30 +159,33 @@ def test_certificates_on_random_colorings():
         n = int(rng.integers(1, 11))
         r = int(rng.integers(2, 4))
         fam = total_coloring(n, r, seed=1000 + seed)
-        cert = good_sequence_certificate(fam)
-        assert cert.is_valid(fam)
-        assert len(cert.vertices) == certificate_length(n, r)
-        assert cert.bound <= product_clique_counts(fam)
+        vertices, colors = good_sequence_certificate(fam)
+        assert is_good_sequence(fam, vertices, colors)
+        assert len(vertices) == certificate_length(n, r)
+        assert certificate_lower_bound(n, r) <= product_clique_counts(fam)
 
 
 def test_certificate_fixture_small():
     fam = total_coloring(8, 2, seed=5)
-    cert = good_sequence_certificate(fam)
-    assert cert.choice_counts == (8, 4, 2)
-    assert cert.bound == Fraction(64, 6)
-    fam = GraphFamily(1, 2, [])
-    cert = good_sequence_certificate(fam)
-    assert cert.vertices == () and cert.bound == 1
+    vertices, colors = good_sequence_certificate(fam)
+    assert (len(vertices), len(colors)) == (3, 2) and is_good_sequence(fam, vertices, colors)
+    assert pigeonhole_sequence(8, 2, 3) == (8, 4, 2)
+    assert certificate_lower_bound(8, 2) == Fraction(64, 6)
+    assert good_sequence_certificate(GraphFamily(1, 2, [])) == ((), ())
+    assert certificate_lower_bound(1, 2) == 1
 
 
-def test_certificate_length_parameter():
-    fam = total_coloring(9, 2, seed=12)  # default length would be 3
-    short = good_sequence_certificate(fam, q=2)
-    assert len(short.vertices) == 2 and short.is_valid(fam)
-    longer = good_sequence_certificate(fam, q=4)  # counts (9,4,2,1) stay positive
-    assert len(longer.vertices) == 4 and longer.is_valid(fam)
-    with pytest.raises(ValueError):
-        good_sequence_certificate(fam, q=9)  # guaranteed choices hit zero
+def test_certificate_length_keeps_every_choice_count_positive():
+    # the greedy picks a vertex at each of certificate_length(n, r) steps; the
+    # pigeonhole counts at that length promise one at every step
+    for n in range(63):
+        for r in range(2, 64):
+            assert min(pigeonhole_sequence(n, r, certificate_length(n, r)), default=1) >= 1
+    fam = total_coloring(9, 2, seed=12)
+    vertices, colors = good_sequence_certificate(fam)
+    assert len(vertices) == 3
+    for q in range(4):  # every prefix of a good sequence is one
+        assert is_good_sequence(fam, vertices[:q], colors[: max(0, q - 1)])
 
 
 def test_certificate_rejects_partial_colorings():
@@ -191,10 +195,21 @@ def test_certificate_rejects_partial_colorings():
 
 
 def test_certificate_validity_catches_corruption():
-    fam = total_coloring(6, 2, seed=9)
-    cert = good_sequence_certificate(fam)
-    broken = type(cert)(cert.vertices, tuple(1 - c for c in cert.colors), cert.choice_counts, cert.bound)
-    assert not broken.is_valid(fam) or cert.colors == broken.colors
+    fam = total_coloring(8, 2, seed=9)
+    vertices, colors = good_sequence_certificate(fam)
+    assert len(vertices) == 3 and is_good_sequence(fam, vertices, colors)
+    (a, b, c), (x, y) = vertices, colors
+    for bad_vertices, bad_colors in (
+        ((a, b, c), (1 - x, y)),  # a flipped color: a total coloring gives each pair one color
+        ((a, b, c), (x, 1 - y)),
+        ((a, b), (x, y)),  # one vertex short
+        ((a, b, c), (x,)),  # one color short
+        ((a, a, c), (x, y)),  # a repeated vertex
+        ((a, b, 8), (x, y)),  # a vertex outside 0..7
+        ((a, b, c), (x, 2)),  # a color outside 0..1
+    ):
+        assert not is_good_sequence(fam, bad_vertices, bad_colors)
+    assert is_good_sequence(fam, (), ()) and is_good_sequence(fam, (5,), ())
 
 
 def test_count_good_sequences_small():

@@ -177,15 +177,15 @@ def test_discrete_border_max_scaling_trend():
     # rounding of the split makes the approach wobble, so the check compares
     # the worst deviation between the small and large halves
     t = 3
-    lead = leading_term_bound(t)
+    peak = leading_term_bound(t)[1]
     deviations = []
     for n in (8, 12, 16, 20):
         best = max(
             discrete_border_max(r, n - r, t)[1] for r in range(n + 1)
         )
         ratio = float(best) / (n**t / factorial(t)) ** 2
-        assert ratio < lead.value
-        deviations.append(lead.value - ratio)
+        assert ratio < peak
+        deviations.append(peak - ratio)
     assert max(deviations[2:]) < max(deviations[:2])
     assert deviations[-1] == min(deviations)
 
@@ -193,7 +193,7 @@ def test_discrete_border_max_scaling_trend():
 @pytest.mark.parametrize("t", (4, 5, 6))
 def test_discrete_border_max_stays_below_the_leading_term(t):
     # the exact counterpart of the t = 3 bound above, for every size n <= 16
-    peak = Fraction(leading_term_bound(t).value)
+    peak = Fraction(leading_term_bound(t)[1])
     for n in range(17):
         best = max(discrete_border_max(r, n - r, t)[1] for r in range(n + 1))
         assert best <= Fraction(n**t, factorial(t)) ** 2 * peak
@@ -208,7 +208,7 @@ def test_simplex_grid_max_hits_the_boundary():
         # on a = 0 the two-turn product is the one-turn value at q = b
         scaled = Fraction(val, k ** (2 * t))
         assert scaled == one_turn_value(t, Fraction(j, k))
-        peak = Fraction(leading_term_bound(t).value)
+        peak = Fraction(leading_term_bound(t)[1])
         assert peak * (1 - Fraction(1, 10**3)) < scaled <= peak
 
 
@@ -232,10 +232,9 @@ def test_critical_ratio_unique_positive_root():
 
 
 def test_leading_term_bound():
-    lead = leading_term_bound(3)
-    assert isclose(lead.split, (1 + sqrt(17)) / 8, rel_tol=0, abs_tol=1e-15)
-    assert isclose(lead.value, one_turn_value(3, lead.split), rel_tol=0, abs_tol=1e-15)
-    assert lead.bound(10) == (10**3 / 6) ** 2 * lead.value
+    split, value = leading_term_bound(3)
+    assert isclose(split, (1 + sqrt(17)) / 8, rel_tol=0, abs_tol=1e-15)
+    assert isclose(value, one_turn_value(3, split), rel_tol=0, abs_tol=1e-15)
     for t in (3, 5, 9):
         assert one_turn_value(t, 0.0) == 0.0
         assert one_turn_value(t, 1.0) == 0.0
@@ -244,7 +243,12 @@ def test_leading_term_bound():
 
 
 def test_split_tends_to_one_half():
-    assert abs(leading_term_bound(1000).split - 0.5) < 2e-3
+    assert abs(leading_term_bound(1000)[0] - 0.5) < 2e-3
+
+
+def test_split_lies_strictly_inside_the_unit_interval():
+    for t in range(3, 2001):
+        assert 0 < leading_term_bound(t)[0] < 1
 
 
 def test_split_is_the_certified_root_of_the_split_polynomial():
@@ -254,7 +258,7 @@ def test_split_is_the_certified_root_of_the_split_polynomial():
     for t in range(3, 60):
         coeffs = split_polynomial(t)
         assert sign_changes(coeffs) == 1 and poly_at(coeffs, 1) > 0
-        split = Fraction(leading_term_bound(t).split)
+        split = Fraction(leading_term_bound(t)[0])
         assert poly_at(coeffs, split - delta) < 0 < poly_at(coeffs, split + delta)
 
 
