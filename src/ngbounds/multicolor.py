@@ -6,10 +6,11 @@ slot, with r <= ``MAX_COLORS`` = 2^16.  Its member graphs, one per color,
 are edge-disjoint by construction and built on first use.  Provided here:
 
 * greedy good-sequence certificates witnessing the pigeonhole lower bound
-  on the product of per-color clique counts, plus a brute-force counter for
-  the sequences themselves;
+  on the product of per-color clique counts, plus a counter for the
+  sequences themselves by a recurrence over vertex subsets;
 * covering-tuple counting (ordered tuples of per-color cliques whose union
-  is the whole vertex set) and the closed-form upper bounds it drives;
+  is the whole vertex set) by a subset recurrence and inclusion-exclusion,
+  and the closed-form upper bounds it drives;
 * the tournament construction: blocks of vertices labeled by tournament
   edges, giving edge-disjoint graphs whose clique-count product is within a
   constant factor of the upper bound;
@@ -24,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import permutations
 from math import comb, factorial, prod
 
 from .counting import count_cliques
@@ -224,30 +224,29 @@ def good_sequence_certificate(fam: GraphFamily) -> tuple[tuple[int, ...], tuple[
 
 
 def count_good_sequences(fam: GraphFamily, q: int) -> int:
-    """Brute-force count of good sequences of length q: ordered distinct
-    vertices where each one sees all its successors in a single color.
-    Capped at n <= 10."""
+    """Count the good sequences of length q: ordered distinct vertices where
+    each one sees all its successors in a single color.
+
+    h[T], the number of orders of the vertex set T that are good sequences,
+    follows h[T] = sum of h[T - v] over the v in T that see all of T - v in
+    one color (v goes first), from h[empty] = 1; the count is the sum of h[T]
+    over |T| = q.  Sets larger than q are skipped.  The cap n <= 10 bounds
+    the 2^n-entry table."""
     n = fam.n
     if n > 10:
         raise ValueError(f"good-sequence enumeration is capped at n <= 10, got {n}")
     if q < 0 or q > n:
         raise ValueError(f"sequence length must be in [0, {n}], got {q}")
-    if q == 0:
-        return 1
-    count = 0
-    for seq in permutations(range(n), q):
-        laters = [0] * q
-        for i in range(q - 2, -1, -1):
-            laters[i] = laters[i + 1] | (1 << seq[i + 1])
-        ok = True
-        for i in range(q - 1):
-            later = laters[i]
-            if not any(g.adj[seq[i]] & later == later for g in fam.members):
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
+    rows = [{g.adj[v] for g in fam.members} for v in range(n)]
+    size = 1 << n
+    h = [1] + [0] * (size - 1)
+    for t in range(1, size):
+        if t.bit_count() <= q:
+            for v in iter_bits(t):
+                rest = t ^ (1 << v)
+                if h[rest] and any(row & rest == rest for row in rows[v]):
+                    h[t] += h[rest]
+    return sum(h[t] for t in range(size) if t.bit_count() == q)
 
 
 def product_clique_counts(fam: GraphFamily) -> int:
@@ -260,40 +259,25 @@ def sum_clique_counts(fam: GraphFamily) -> int:
 
 def count_covering_tuples(fam: GraphFamily) -> int:
     """Number of ordered tuples (S_1, ..., S_r), S_j a clique of member j,
-    whose union is the whole vertex set.  Inclusion-exclusion over the
-    containing subset; capped at n <= 8."""
+    whose union is the whole vertex set.
+
+    For each member, cnt[W] = cnt[W - v] + cnt[(W - v) & N(v)] from
+    cnt[empty] = 1, with v the lowest vertex of W, counts the cliques inside
+    W: those that miss v and those that hold it.  Inclusion-exclusion over W
+    then keeps the tuples whose union is everything.  The cap n <= 8 bounds
+    the 2^n-entry table."""
     n = fam.n
     if n > 8:
         raise ValueError(f"covering-tuple enumeration is capped at n <= 8, got {n}")
     size = 1 << n
-    tables = []
+    terms = [(-1) ** (n - w.bit_count()) for w in range(size)]
     for g in fam.members:
-        adj = g.adj
-        cnt = [0] * size
-        cnt[0] = 1
-        for mask in range(1, size):
-            v = (mask & -mask).bit_length() - 1
-            rest = mask & (mask - 1)
-            if cnt[rest] == 1 and adj[v] & rest == rest:
-                cnt[mask] = 1
-        # cnt[mask] is now a 0/1 clique indicator; subset-sum it in place so
-        # cnt[W] counts cliques contained in W
-        for v in range(n):
-            bit = 1 << v
-            for mask in range(size):
-                if mask & bit:
-                    cnt[mask] += cnt[mask ^ bit]
-        tables.append(cnt)
-    total = 0
-    for w in range(size):
-        term = 1
-        for cnt in tables:
-            term *= cnt[w]
-        if (n - w.bit_count()) % 2 == 0:
-            total += term
-        else:
-            total -= term
-    return total
+        cnt = [1] * size
+        for w in range(1, size):
+            rest = w & (w - 1)
+            cnt[w] = cnt[rest] + cnt[rest & g.adj[(w & -w).bit_length() - 1]]
+        terms = [term * c for term, c in zip(terms, cnt)]
+    return sum(terms)
 
 
 def multicolor_upper_bound(n: int, r: int) -> int:

@@ -3,7 +3,7 @@ certificates, and the scans the fast paths replaced, shared across test
 modules."""
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 from math import comb, factorial, log, log2
 
 import numpy as np
@@ -333,3 +333,28 @@ def coloring_product_by_color_loop(n: int, r: int, direction: str):
         emit_coloring(GraphFamily(n, r, [int(code) // r**s % r for s in range(m)])) for code in hits[:WITNESS_CAP]
     )
     return ExtremalRecord(n, "product", direction, None, int(ext), witnesses, len(hits), r)
+
+
+# The permutation walk the subset recurrence replaced, kept as its oracle.
+
+
+def good_sequences_by_permutation(fam: GraphFamily, q: int) -> int:
+    """``count_good_sequences(fam, q)`` by visiting all n!/(n-q)! orders of
+    q distinct vertices and keeping those where each vertex sees all its
+    successors in a single color."""
+    if q == 0:
+        return 1
+    count = 0
+    for seq in permutations(range(fam.n), q):
+        laters = [0] * q
+        for i in range(q - 2, -1, -1):
+            laters[i] = laters[i + 1] | (1 << seq[i + 1])
+        ok = True
+        for i in range(q - 1):
+            later = laters[i]
+            if not any(g.adj[seq[i]] & later == later for g in fam.members):
+                ok = False
+                break
+        if ok:
+            count += 1
+    return count

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import ngbounds.verify
-from ngbounds import Graph, emit_coloring, emit_graph6, leading_term_bound, multicolor_upper_bound, profile_by_scan
+from ngbounds import ExtremalRecord, Graph, emit_coloring, emit_graph6, leading_term_bound, multicolor_upper_bound
+from ngbounds import profile_by_scan
 from ngbounds.cli import main
 from ngbounds.verify import SUITES, Report
 
@@ -512,6 +513,17 @@ def test_extremal_command(capsys):
 
     code, _, err = run(capsys, "extremal", "--n", "9", "--quantity", "pi")
     assert code == 2 and "capped" in err
+
+
+def test_extremal_exits_1_when_a_witness_does_not_re_evaluate(capsys, monkeypatch):
+    witnesses = (emit_graph6(Graph.empty(3)), emit_graph6(Graph.complete(3)))
+    one_off = ExtremalRecord(3, "pi", "max", None, 33, witnesses, 2)  # both witnesses have pi = 32
+    monkeypatch.setattr("ngbounds.cli.exhaustive_extremal", lambda *args, **kwargs: one_off)
+    code, out, err = run(capsys, "extremal", "--n", "3", "--quantity", "pi")
+    assert code == 1
+    header = "n,quantity,direction,t,shard,value,total_witnesses,witnesses"
+    assert out == f"{header}\n3,pi,max,,,33,2,{';'.join(witnesses)}\n"
+    assert err == "witness re-evaluation failed\n"
 
 
 def test_extremal_quantity_defaults_to_pi_for_graphs_and_product_for_colorings(capsys):

@@ -1,6 +1,8 @@
 from fractions import Fraction
+from functools import reduce
 from itertools import product as iproduct
-from math import comb, factorial, prod
+from math import comb, factorial, perm, prod
+from operator import or_
 
 import pytest
 
@@ -29,7 +31,7 @@ from ngbounds.graphs import edge_list
 from ngbounds.multicolor import MAX_COLORS, ColoringFormatError
 from ngbounds.oracle import random_tournament, rng_for, sample_random_coloring
 
-from helpers import edge_count
+from helpers import edge_count, good_sequences_by_permutation
 
 
 def total_coloring(n, r, seed):
@@ -233,6 +235,24 @@ def test_good_sequence_sandwich():
         assert low <= mid <= high
 
 
+@pytest.mark.parametrize("n", range(9))
+def test_count_good_sequences_matches_the_permutation_oracle(n):
+    # at n = 8 the oracle walks 109,601 orders per coloring, so each r
+    # there gets one coloring, partial for odd r and total for even r
+    for r in range(1, 5):
+        for partial in (False, True) if n < 8 else (r % 2 == 1,):
+            fam = sample_random_coloring(n, r, rng_for([41, n, r, partial]), partial=partial)
+            for q in range(n + 1):
+                assert count_good_sequences(fam, q) == good_sequences_by_permutation(fam, q), (n, r, partial, q)
+
+
+def test_a_monochromatic_clique_has_every_order_good():
+    for n in range(11):
+        for r in (1, 3):
+            fam = GraphFamily(n, r, [r - 1] * comb(n, 2))
+            assert [count_good_sequences(fam, q) for q in range(n + 1)] == [perm(n, q) for q in range(n + 1)]
+
+
 def test_sum_and_product_fixtures():
     n, r = 5, 3
     fam = GraphFamily(n, r, [0] * comb(n, 2))
@@ -260,19 +280,17 @@ def test_covering_tuple_fixtures():
 
 
 def test_covering_tuples_against_direct_enumeration():
-    for seed in range(15):
-        fam = sample_random_coloring(4, 2, rng_for([seed]), partial=True)
-        cliques = [
-            [s for s in range(16) if all(g.adj[v] & s == s & ~(1 << v) for v in range(4) if s >> v & 1)]
-            for g in fam.members
-        ]
-        direct = sum(
-            1
-            for s1 in cliques[0]
-            for s2 in cliques[1]
-            if s1 | s2 == 15
-        )
-        assert count_covering_tuples(fam) == direct
+    for n in range(6):
+        full = (1 << n) - 1
+        for r in (2, 3):
+            for seed in range(10):
+                fam = sample_random_coloring(n, r, rng_for([n, r, seed]), partial=True)
+                cliques = [
+                    [s for s in range(full + 1) if all(g.adj[v] & s == s & ~(1 << v) for v in range(n) if s >> v & 1)]
+                    for g in fam.members
+                ]
+                direct = sum(1 for sets in iproduct(*cliques) if reduce(or_, sets) == full)
+                assert count_covering_tuples(fam) == direct, (n, r, seed)
 
 
 def test_multicolor_upper_bound_fixtures():

@@ -1,6 +1,7 @@
 import math
 import threading
 import time
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -231,6 +232,16 @@ def test_merge_records_rejects_mixed_scans():
     b = exhaustive_extremal(3, "sigma", "max")
     with pytest.raises(ValueError):
         merge_records([a, b])
+
+
+def test_recheck_accepts_an_empty_shard_and_refuses_a_wrong_value():
+    assert ExtremalRecord(3, "pi", "max", None, None, (), 0).recheck()
+    graph = exhaustive_extremal(3, "pi", "max")
+    coloring = exhaustive_coloring_extremal(3, 2, "product", "max")
+    assert graph.recheck() and coloring.recheck()
+    assert not replace(graph, value=None).recheck()  # an empty shard holds no witness
+    assert not replace(graph, value=graph.value - 1).recheck()
+    assert not replace(coloring, value=coloring.value + 1).recheck()
 
 
 def test_coloring_extremal_sum():
