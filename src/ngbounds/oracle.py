@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .counting import pi, pi_t, sigma, sigma_t
+from .counting import _popcount64, pi, pi_t, sigma, sigma_t
 from .graphs import MAX_VERTICES, Graph, edge_list, emit_graph6, iter_bits, parse_graph6
 from .multicolor import MAX_COLORS, GraphFamily, Tournament, emit_coloring, parse_coloring
 from .multicolor import product_clique_counts, sum_clique_counts
@@ -88,20 +88,6 @@ class ExtremalRecord:
             if got != self.value:
                 return False
         return True
-
-
-def _popcount64(arr: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Bits set in each word of the uint64 array ``arr``, written into ``out``
-    (a fresh uint8 array when None) and returned."""
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(arr, out=out)
-    x = arr - ((arr >> np.uint64(1)) & np.uint64(0x5555555555555555))
-    x = (x & np.uint64(0x3333333333333333)) + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333))
-    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    x *= np.uint64(0x0101010101010101)
-    if out is None:
-        out = np.empty(arr.shape, dtype=np.uint8)
-    return np.right_shift(x, np.uint64(56), out=out)
 
 
 def _tables(n: int, t: Optional[int]):

@@ -10,8 +10,9 @@ import numpy as np
 
 from ngbounds import BorderPath, ExtremalRecord, Graph, GraphFamily, build, emit_coloring, emit_graph6, one_turn_value
 from ngbounds import pi_t, sample_random_graph
+from ngbounds.counting import _popcount64
 from ngbounds.graphs import complement_rows
-from ngbounds.oracle import _GRAPH_QUANTITIES, WITNESS_CAP, _mask_counts, _popcount64, _tables
+from ngbounds.oracle import _GRAPH_QUANTITIES, WITNESS_CAP, _mask_counts, _tables
 
 
 def path_graph(n: int) -> Graph:

@@ -1,5 +1,6 @@
-from math import comb
+from math import comb, prod
 
+import numpy as np
 import pytest
 
 from ngbounds import (
@@ -13,7 +14,9 @@ from ngbounds import (
     sigma,
     sigma_t,
 )
+from ngbounds.counting import _frontier_leaves, _walk_leaves
 from ngbounds.oracle import rng_for
+from ngbounds.threshold import closed_form_counts
 
 from helpers import complement, cycle_graph, gnp_graph, path_graph, random_graph, walk
 
@@ -232,3 +235,96 @@ def test_sixty_two_vertex_join_is_exact():
     for t in range(1, 63):
         assert ind[t] == sum(s[t] for s in scans if t < len(s))
     assert ind[1] == 62 and ind[17] == 0
+
+
+def _same_leaves(g: Graph) -> None:
+    """The walker and the numpy frontier walk one tree: equal leaf tallies,
+    which the one expansion turns into equal profiles, on ``g`` and on its
+    complement."""
+    for rows in (g.adj, complement(g).adj):
+        assert _frontier_leaves(rows) == _walk_leaves(rows)
+
+
+def test_frontier_matches_walker_on_every_graph_to_five_vertices():
+    for n in range(6):
+        for mask in range(1 << comb(n, 2)):
+            rows = Graph.from_edge_mask(n, mask).adj
+            assert _frontier_leaves(rows) == _walk_leaves(rows)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 4, 5, 17, 31, 32, 33, 47, 62])
+def test_frontier_matches_walker_on_structured_graphs(n):
+    rng = rng_for([41, n])
+    _same_leaves(Graph.empty(n))
+    _same_leaves(Graph.from_edges(n, [(0, v) for v in range(1, n)]))  # star
+    if n:
+        _same_leaves(build(walk("".join("+-"[b] for b in rng.integers(0, 2, size=n - 1)))))
+
+
+@pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.7, 0.9])
+def test_frontier_matches_walker_on_random_graphs(p):
+    # the dispatch sends only n >= 32 to the frontier; both must agree below
+    # that too.  At p = 0.9 the walker takes about a second per graph at n = 62
+    for n in range(51 if p == 0.9 else 63):
+        g = gnp_graph(n, p, rng_for([47, n, int(p * 10)]))
+        assert _frontier_leaves(g.adj) == _walk_leaves(g.adj)
+
+
+def test_frontier_matches_walker_without_bitwise_count(monkeypatch):
+    graphs = [gnp_graph(62, p, rng_for([53, int(p * 10)])) for p in (0.3, 0.5, 0.7)]
+    want = [_walk_leaves(g.adj) for g in graphs]
+    profiles = [clique_profile(g) for g in graphs]
+    monkeypatch.delattr(np, "bitwise_count", raising=False)  # numpy 1.x has none
+    assert [_frontier_leaves(g.adj) for g in graphs] == want
+    assert [clique_profile(g) for g in graphs] == profiles
+
+
+def _poly_product(factors) -> tuple[int, ...]:
+    out = [1]
+    for f in factors:
+        out = [sum(out[i - j] * c for j, c in enumerate(f) if 0 <= i - j < len(out)) for i in range(len(out) + len(f) - 1)]
+    return tuple(out)
+
+
+@pytest.mark.parametrize(
+    "parts", [(62,), (1,) * 62, (31, 31), (20, 21, 21), (5, 7, 11, 13, 26), (1,) * 40 + (2,) * 11, (2, 2, 3, 3, 4, 4, 5, 39)]
+)
+def test_complete_multipartite_at_sixty_two_vertices(parts):
+    # the join of empty graphs; a clique takes at most one vertex from each
+    # part: prod(1 + a_i x)
+    g = _join([Graph.empty(a) for a in parts])
+    assert g.n == 62
+    want = _poly_product([(1, a) for a in parts])
+    assert clique_profile(g) == want + (0,) * (63 - len(want))
+    assert sum(want) == prod(1 + a for a in parts)
+    assert independent_profile(complement(g)) == clique_profile(g)
+
+
+def _fibonacci(k: int) -> int:
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+def test_complements_of_cycles_and_paths_from_thirty_two_to_forty_four_vertices():
+    # the cliques of the complement are the independent sets: C(n - k + 1, k)
+    # of size k in P_n, n / (n - k) C(n - k, k) in C_n; in total F_{n+2} and
+    # the Lucas number L_n = F_{n-1} + F_{n+1}
+    for n in range(32, 45):
+        path = tuple(comb(n - k + 1, k) for k in range(n + 1))
+        cycle = (1,) + tuple(n * comb(n - k, k) // (n - k) if k < n else 0 for k in range(1, n + 1))
+        assert clique_profile(complement(path_graph(n))) == path
+        assert clique_profile(complement(cycle_graph(n))) == cycle
+        assert sum(path) == _fibonacci(n + 2)
+        assert sum(cycle) == _fibonacci(n - 1) + _fibonacci(n + 1)
+
+
+def test_threshold_walks_at_sixty_two_vertices_meet_the_closed_forms():
+    for trial in range(6):
+        rng = rng_for([59, trial])
+        path = walk("".join("+-"[b] for b in rng.integers(0, 2, size=61)))
+        g = build(path)
+        cliques, independents = clique_profile(g), independent_profile(g)
+        for t in range(2, 63):
+            assert (cliques[t], independents[t]) == closed_form_counts(path, t)

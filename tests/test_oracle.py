@@ -30,7 +30,8 @@ from ngbounds.cli import main
 from ngbounds.graphs import edge_list
 from ngbounds.multicolor import certificate_lower_bound
 from ngbounds import oracle
-from ngbounds.oracle import WITNESS_CAP, _mask_counts, _popcount64, _scan_stripe, _tables, rng_for
+from ngbounds.counting import _popcount64
+from ngbounds.oracle import WITNESS_CAP, _mask_counts, _scan_stripe, _tables, rng_for
 
 from helpers import coloring_product_by_color_loop, edge_count, exponent_ratios, extremal_by_gather
 
