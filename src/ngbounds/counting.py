@@ -3,16 +3,20 @@
 ``clique_profile`` counts the cliques of every size on the succinct clique
 tree of Jain and Seshadhri (WSDM 2020), on bit-rows with no memo.  The tree
 stops at a candidate set of at most 3 vertices and tallies its cliques in
-closed form.  One tree, two traversals that tally the same leaves:
-graphs with fewer than 32 vertices are walked depth first in Python, larger
-ones level by level in numpy, up to 512 nodes a step from a depth-first
-stack.  A step's arrays hold at most 512 x 62 (node, vertex) pairs, and the
-stack at most one block of children per tree level; one profile of the
-complement of C62 peaks at 0.7 MB of traced allocations.  Counting
-takes the rows alone, so ``independent_profile`` counts on the complemented
-rows and builds no complement ``Graph``, and the verify suites count on
-rows they rewrite in place.  ``profile_by_scan`` classifies all 2^n subsets
-directly and is kept as the independent oracle; the two paths share no code.
+closed form.  One tree, two traversals that tally the same leaves: a
+single graph with fewer than 32 vertices is walked depth first in Python;
+a larger one, and any batch of graphs handed to ``_tree_profiles``, level
+by level in numpy.  The frontier takes up to 2,048 nodes a step from one
+depth-first stack that holds the nodes of every graph in the batch, each
+keyed by its graph.  A step's arrays hold at most 2,048 x 64 (node,
+vertex) pairs, and the stack at most one block of children per tree level;
+one profile of the complement of C62 peaks at 3.0 MB of traced
+allocations.  Counting takes the rows alone, so ``independent_profile``
+counts on the complemented rows and builds no complement ``Graph``, and the
+compression and thresholds verify suites count a group of trials' rows,
+their rewrites and complements in one batch.  ``profile_by_scan``
+classifies all 2^n subsets directly and is kept as the independent oracle;
+the two paths share no code.
 
 Counts are Python ints (arbitrary precision): k(K_62) = 2^62 already
 overflows 64 bits once multiplied into the product quantity.
@@ -25,6 +29,7 @@ t-vertex sets, has length n + 1, p[0] = 1 and, for n >= 1, p[1] = n.
 from __future__ import annotations
 
 from functools import cache
+from itertools import chain
 from math import comb
 from typing import Optional
 
@@ -39,15 +44,18 @@ _LEAF_SETS = ((0, 0), (1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2), (3, 3))
 # a leaf's slot by 2 e + s, which differs between its sets
 _SLOT_BY_SUM = np.zeros(10, dtype=np.int64)
 _SLOT_BY_SUM[[2 * e + s for s, e in _LEAF_SETS]] = range(len(_LEAF_SETS))
-_FRONTIER_MIN = 32  # graphs from this many vertices walk the tree in numpy
-_CHUNK = 512  # tree nodes per numpy step: bounds the memory of one step
+# A leaf key is 512 holds + 8 pivots + slot < 2^15; a frontier code adds 2^15 graph.
+_HOLD, _PIVOT, _GRAPH_SHIFT = 512, 8, 15
+_FRONTIER_MIN = 32  # a single graph from this many vertices walks the tree in numpy
+_CHUNK = 2048  # tree nodes per numpy step: bounds the memory of one step
+_BELOW = np.array([(1 << v) - 1 for v in range(64)], dtype="<u8")  # the vertices below v
 
 
 @cache
 def _leaf_poly(key: int) -> tuple[int, ...]:
     """(1 + x)^q (1 + s x + e x^2 + [e = 3] x^3) for key = 8 q + slot: the
     cliques of a leaf with q pivots, less its holds."""
-    pivots, slot = divmod(key, 8)
+    pivots, slot = divmod(key, _PIVOT)
     s, e = _LEAF_SETS[slot]
     poly = [c for c in (1, s, e, int(e == 3)) if c]
     return tuple(sum(c * comb(pivots, i - j) for j, c in enumerate(poly[: i + 1])) for i in range(pivots + len(poly)))
@@ -56,10 +64,7 @@ def _leaf_poly(key: int) -> tuple[int, ...]:
 def _walk_leaves(rows) -> dict[int, int]:
     """Leaf counts by key of the succinct clique tree of the graph with
     bit-rows ``rows``, walked depth first in Python (see ``clique_profile``)."""
-    n = len(rows)
-    width = n + 1
-    step = 8 * width
-    leaves: dict[int, int] = {}  # holds * step + 8 * pivots + slot -> leaf count
+    leaves: dict[int, int] = {}  # 512 holds + 8 pivots + slot -> leaf count; literal steps below, as globals cost 2%
 
     def walk(cand: int, key: int) -> None:
         while cand.bit_count() > 3:
@@ -76,7 +81,7 @@ def _walk_leaves(rows) -> dict[int, int]:
             while rest:
                 low = rest & -rest
                 rest ^= low
-                walk(cand & rows[low.bit_length() - 1], key + step)
+                walk(cand & rows[low.bit_length() - 1], key + 512)
                 cand ^= low
             cand &= row
             key += 8
@@ -89,7 +94,7 @@ def _walk_leaves(rows) -> dict[int, int]:
         key += s + e + (s > 2)
         leaves[key] = leaves.get(key, 0) + 1
 
-    walk((1 << n) - 1, 0)
+    walk((1 << len(rows)) - 1, 0)
     return leaves
 
 
@@ -107,66 +112,124 @@ def _popcount64(arr: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray
     return np.right_shift(x, np.uint64(56), out=out)
 
 
-def _bits(words: np.ndarray) -> np.ndarray:
-    """64 i + v for each bit v set in words[i], in increasing order."""
-    return np.flatnonzero(np.unpackbits(words.view(np.uint8), bitorder="little").view(bool))
+def _bits(words: np.ndarray, shift: int) -> np.ndarray:
+    """2^shift i + v for each bit v set in words[i], in increasing order,
+    for words below 2^(2^shift), 3 <= shift <= 6."""
+    low = words.view(np.uint8).reshape(-1, 8)[:, : 1 << (shift - 3)]
+    return np.flatnonzero(np.unpackbits(low, axis=1, bitorder="little").view(bool))
 
 
-def _frontier_leaves(rows) -> dict[int, int]:
-    """The leaf counts of ``_walk_leaves``, from a walk of the same tree in
-    numpy, up to _CHUNK nodes a step.
+def _fold(code: np.ndarray, count: np.ndarray, leaves: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The tally of distinct codes ``code`` with leaf counts ``count``, in
+    increasing order, with one more leaf for each code in the arrays
+    ``leaves``."""
+    code = np.concatenate([code, *leaves])
+    count = np.concatenate((count, np.ones(len(code) - len(count), dtype=np.int64)))
+    order = np.argsort(code, kind="stable")
+    code, count = code[order], count[order]
+    start = np.flatnonzero(np.diff(code, prepend=-1))  # where a run of equal codes >= 0 starts
+    return code[start], np.add.reduceat(count, start)
 
-    A node is a candidate set, a little-endian uint64 word, and its key
-    8 (holds (n + 1) + pivots).  Each step pops a chunk off a depth-first
+
+def _frontier_leaves(row_lists) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The leaf counts of ``_walk_leaves`` on every bit-rows list of
+    ``row_lists``, from one walk of all their trees in numpy, up to
+    _CHUNK nodes a step; returned as graph index, key and count arrays,
+    ordered by graph, then key.
+
+    The rows of all graphs stand in one array, graph i's from base[i] on.  A
+    node is a candidate set, a little-endian uint64 word, and its code
+    2^15 i + 512 holds + 8 pivots.  Each step pops a chunk off a depth-first
     stack, tallies its leaves and pushes the children of the other nodes: the
     pivot child cand & N(p), and for each hold v the walker's candidate set
     cand & N(v) less the holds before v."""
-    n = len(rows)
-    adj = np.array(rows, dtype="<u8")
-    closed = np.array([row | 1 << v for v, row in enumerate(rows)], dtype="<u8")
-    below = np.array([(1 << v) - 1 for v in range(n)], dtype="<u8")
-    tally = np.zeros(0, dtype=np.int64)  # key + slot -> leaf count, as long as the largest key seen
-    stack = [(np.array([(1 << n) - 1], dtype="<u8"), np.zeros(1, dtype=np.int64))]
+    sizes = np.array([len(rows) for rows in row_lists], dtype=np.int64)
+    base = np.cumsum(sizes) - sizes
+    adj = np.fromiter(chain.from_iterable(row_lists), dtype="<u8", count=int(sizes.sum()))
+    closed = adj | np.uint64(1) << (np.arange(len(adj)) - np.repeat(base, sizes)).astype(np.uint64)
+    shift = max(3, (int(sizes.max(initial=1)) - 1).bit_length())  # every row fits the low 2^shift bits
+    width = 1 << shift
+    code = count = np.zeros(0, dtype=np.int64)  # the distinct leaf codes so far and their leaf counts
+    leaves: list[np.ndarray] = []  # the codes of the leaves not yet folded into the tally
+    held = 0  # their number; past 8 chunks' worth they are folded in, which bounds their memory
+    stack = [((np.uint64(1) << sizes.astype(np.uint64)) - np.uint64(1), np.arange(len(sizes)) << _GRAPH_SHIFT)]
     while stack:
-        cand, key = stack.pop()
-        if len(cand) > _CHUNK:
-            stack.append((cand[:-_CHUNK], key[:-_CHUNK]))
-            cand, key = cand[-_CHUNK:], key[-_CHUNK:]
+        cands, keys, room = [], [], _CHUNK  # the step takes _CHUNK nodes off the stack, or all it holds
+        while room and stack:
+            cand, key = stack.pop()
+            if len(cand) > room:
+                stack.append((cand[:-room], key[:-room]))
+                cand, key = cand[-room:], key[-room:]
+            cands.append(cand)
+            keys.append(key)
+            room -= len(cand)
+        cand, key = np.concatenate(cands), np.concatenate(keys)
+        off = base[key >> _GRAPH_SHIFT]
         # deg[i, v] is 1 + the degree of v within cand[i] for v in cand[i], else 0
-        at = _bits(cand)
-        deg = np.zeros((len(cand), 64), dtype=np.uint8)
-        deg.reshape(-1)[at] = _popcount64(cand[at >> 6] & closed[at & 63])
+        at = _bits(cand, shift)
+        node = at >> shift
+        deg = np.zeros((len(cand), width), dtype=np.uint8)
+        deg.reshape(-1)[at] = _popcount64(cand[node] & closed[off[node] + (at & width - 1)])
         leaf = _popcount64(cand) <= 3
         # the degrees of a leaf's s vertices and e edges add up to 2 e + s
-        counts = np.bincount(key[leaf] + _SLOT_BY_SUM[deg[leaf].sum(axis=1)])
-        if len(counts) > len(tally):
-            tally, counts = counts, tally
-        tally[: len(counts)] += counts
+        leaves.append(key[leaf] + _SLOT_BY_SUM[deg[leaf].sum(axis=1)])
+        held += len(leaves[-1])
+        if held > 8 * _CHUNK:
+            code, count = _fold(code, count, leaves)
+            leaves, held = [], 0
         inner = ~leaf
-        cand, key, deg = cand[inner], key[inner], deg[inner]
+        cand, key, deg, off = cand[inner], key[inner], deg[inner], off[inner]
         if not len(cand):
             continue
         p = deg.argmax(axis=1)  # the first vertex of largest degree, the walker's pivot
-        rest = cand & ~closed[p]
-        at = _bits(rest)
-        node, v = at >> 6, at & 63
+        rest = cand & ~closed[off + p]
+        at = _bits(rest, shift)
+        node, v = at >> shift, at & width - 1
         stack.append(
             (
-                np.concatenate((cand & adj[p], cand[node] & adj[v] & ~(rest[node] & below[v]))),
-                np.concatenate((key + 8, key[node] + 8 * (n + 1))),
+                np.concatenate((cand & adj[off + p], cand[node] & adj[off[node] + v] & ~(rest[node] & _BELOW[v]))),
+                np.concatenate((key + _PIVOT, key[node] + _HOLD)),
             )
         )
-    return {key: cnt for key, cnt in enumerate(tally.tolist()) if cnt}
+    code, count = _fold(code, count, leaves)
+    return code >> _GRAPH_SHIFT, code & (1 << _GRAPH_SHIFT) - 1, count
+
+
+def _tree_profiles(row_lists) -> list[tuple[int, ...]]:
+    """Clique counts of every size of each bit-rows list in ``row_lists``,
+    from one numpy walk of all their succinct clique trees.
+
+    Each leaf tally expands through a table of its key's polynomial
+    x^holds (1 + x)^pivots (...), all in int64: every term is non-negative
+    and at most the profile entry it adds to, which is at most
+    C(62, 31) < 2^63."""
+    graph, key, count = _frontier_leaves(row_lists)
+    seen = np.zeros(1 << _GRAPH_SHIFT, dtype=bool)
+    seen[key] = True
+    keys = np.flatnonzero(seen)
+    inv = np.searchsorted(keys, key)  # each tally's row of the table
+    table = np.zeros((len(keys), max(map(len, row_lists), default=0) + 1), dtype=np.int64)
+    for row, k in zip(table, keys.tolist()):
+        holds, k = divmod(k, _HOLD)
+        poly = _leaf_poly(k)
+        row[holds : holds + len(poly)] = poly
+    by_size = np.zeros((len(row_lists), table.shape[1]), dtype=np.int64)
+    for lo in range(0, len(graph), _CHUNK):
+        part = slice(lo, lo + _CHUNK)
+        start = np.flatnonzero(np.diff(graph[part], prepend=-1))  # each graph's first tally in the part
+        by_size[graph[part][start]] += np.add.reduceat(count[part, None] * table[inv[part]], start, axis=0)
+    return [tuple(sizes[: len(rows) + 1]) for sizes, rows in zip(by_size.tolist(), row_lists)]
 
 
 def _tree_profile(rows) -> tuple[int, ...]:
     """Clique counts of every size of the graph with bit-rows ``rows``, from
     the succinct clique tree (see ``clique_profile``)."""
     n = len(rows)
-    width = n + 1
-    by_size = [0] * width
-    for key, cnt in (_walk_leaves if n < _FRONTIER_MIN else _frontier_leaves)(rows).items():
-        holds, key = divmod(key, 8 * width)
+    if n >= _FRONTIER_MIN:
+        return _tree_profiles([rows])[0]
+    by_size = [0] * (n + 1)
+    for key, cnt in _walk_leaves(rows).items():
+        holds, key = divmod(key, _HOLD)
         for i, c in enumerate(_leaf_poly(key), holds):
             by_size[i] += cnt * c
     return tuple(by_size)
@@ -186,12 +249,13 @@ def clique_profile(g: Graph) -> tuple[int, ...]:
     tallied by (h, q, s, e) and expanded once at the end.
 
     Below 32 vertices a Python walker visits the tree one node at a time.
-    From 32 on, a numpy frontier takes up to 512 nodes a step off a
+    From 32 on, a numpy frontier takes up to 2,048 nodes a step off a
     depth-first stack: it reads their member vertices and degrees in bulk,
     picks each pivot as the first vertex of largest degree, as the walker
-    does, tallies the leaves and pushes the children.  Both build the same
-    tree and tally the same leaves; the frontier wins once a call visits
-    more than a few hundred nodes, which small graphs rarely do."""
+    does, tallies the leaves by graph and key and pushes the children.  Both
+    build the same tree and tally the same leaves; the frontier wins once a
+    call visits more than a few hundred nodes, which one small graph rarely
+    does, so the verify suites hand it their small graphs in batches."""
     return _tree_profile(g.adj)
 
 

@@ -358,7 +358,13 @@ def sample_random_graph(n: int, rng: np.random.Generator) -> Graph:
     if not 0 <= n <= MAX_VERTICES:
         raise ValueError(f"vertex count must be in [0, {MAX_VERTICES}], got {n}")
     bits = rng.integers(0, 2, size=comb(n, 2))
-    return Graph.from_edge_mask(n, sum(1 << int(i) for i in np.flatnonzero(bits)))
+    pairs = edge_list(n)
+    rows = [0] * n
+    for slot in np.flatnonzero(bits).tolist():
+        u, v = pairs[slot]
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return Graph(n, tuple(rows))
 
 
 def sample_random_coloring(n: int, r: int, rng: np.random.Generator, partial: bool = False) -> GraphFamily:

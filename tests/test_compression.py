@@ -217,32 +217,41 @@ def test_pivots_replay_and_follow_the_orientation_rule(g):
     assert recognize(final) is not None
 
 
+def _draw(seed, trial):
+    """The graph g and pair (x, y) that trial ``trial`` of ``verify_compression``
+    (n_max = 12) at ``seed`` draws: the draw repeats the suite's own."""
+    rng = rng_for([seed, trial])
+    n = int(rng.integers(2, 13))
+    g = sample_random_graph(n, rng)
+    x = int(rng.integers(n))
+    y = int(rng.integers(n - 1))
+    return g, x, y + (y >= x)
+
+
 def _suite_trial(want):
     """The first seed below 100 at which trial 0 of ``verify_compression``
     (n_max = 12) draws a graph g and a pair (x, y) such that
     ``want(g, compress(g, x, y), *compress_to_threshold(g))`` holds, returned
-    with g, x and y.  The draw repeats the suite's own."""
+    with g, x and y."""
     for seed in range(100):
-        rng = rng_for([seed, 0])
-        n = int(rng.integers(2, 13))
-        g = sample_random_graph(n, rng)
-        x = int(rng.integers(n))
-        y = int(rng.integers(n - 1))
-        y += y >= x
+        g, x, y = _draw(seed, 0)
         if want(g, compress(g, x, y), *compress_to_threshold(g)):
             return seed, g, x, y
     raise AssertionError("no seed below 100 draws such a trial")
 
 
-def _lower_counts_on(monkeypatch, rows):
-    """Make the suite's counting engine report one vertex fewer on ``rows``."""
-    real = verify._tree_profile
+def _lower_counts_on(monkeypatch, *faulty):
+    """Make the suite's batch counting engine report one vertex fewer on each
+    bit-rows tuple in ``faulty``, wherever it stands in a batch."""
+    real = verify._tree_profiles
 
-    def lowered(r):
-        prof = real(r)
-        return prof[:1] + (prof[1] - 1,) + prof[2:] if tuple(r) == rows else prof
+    def lowered(row_lists):
+        return [
+            prof[:1] + (prof[1] - 1,) + prof[2:] if tuple(rows) in faulty else prof
+            for rows, prof in zip(row_lists, real(row_lists))
+        ]
 
-    monkeypatch.setattr(verify, "_tree_profile", lowered)
+    monkeypatch.setattr(verify, "_tree_profiles", lowered)
 
 
 def _assert_one_violation(seed, template, g):
@@ -273,3 +282,32 @@ def test_compression_suite_reports_a_pivot_list_that_does_not_replay(monkeypatch
     final, pivots = compress_to_threshold(g)
     monkeypatch.setattr(verify, "compress_to_threshold", lambda h: (final, pivots[:-1]))
     _assert_one_violation(seed, "replaying the pivot list of {} does not reproduce the output", g)
+
+
+@pytest.mark.parametrize("group_rows", [1, 40, verify.GROUP_ROWS])
+def test_compression_suite_reports_faults_in_two_trials_in_trial_order(monkeypatch, group_rows):
+    # trial i fails the one-compression check and would also fail along its
+    # trace; trial j > i fails along its trace.  A group of 1 row counts each
+    # trial alone, one of 40 rows splits the run a few times, and the default
+    # counts it in one call; the report must not depend on where groups end
+    seed, trials = 3, 12
+    draws = [_draw(seed, trial) for trial in range(trials)]
+    squeezed = [compress(g, x, y) for g, x, y in draws]
+    finals = [compress_to_threshold(g) for g, _, _ in draws]
+
+    def trace_fault_shows(t):
+        return finals[t][1] and squeezed[t] != finals[t][0]
+
+    i = next(t for t in range(trials) if squeezed[t] != draws[t][0] and trace_fault_shows(t))
+    j = next(t for t in range(i + 1, trials) if trace_fault_shows(t))
+    (g_i, x, y), g_j = draws[i], draws[j][0]
+    monkeypatch.setattr(verify, "GROUP_ROWS", group_rows)
+    assert verify.verify_compression(trials=trials, n_max=12, seed=seed).passed
+    _lower_counts_on(monkeypatch, squeezed[i].adj, finals[i][0].adj, finals[j][0].adj)
+    rep = verify.verify_compression(trials=trials, n_max=12, seed=seed)
+    g6_i, g6_j = emit_graph6(g_i), emit_graph6(g_j)
+    assert rep.lines[:-1] == [
+        f"VIOLATION: size count dropped under compress({x}->{y}) on {g6_i}",
+        f"VIOLATION: product quantity dropped along the trace of {g6_j}",
+    ]
+    assert rep.counterexamples == [g6_i, g6_j]

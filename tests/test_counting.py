@@ -14,7 +14,7 @@ from ngbounds import (
     sigma,
     sigma_t,
 )
-from ngbounds.counting import _frontier_leaves, _walk_leaves
+from ngbounds.counting import _frontier_leaves, _tree_profile, _tree_profiles, _walk_leaves
 from ngbounds.oracle import rng_for
 from ngbounds.threshold import closed_form_counts
 
@@ -237,45 +237,75 @@ def test_sixty_two_vertex_join_is_exact():
     assert ind[1] == 62 and ind[17] == 0
 
 
-def _same_leaves(g: Graph) -> None:
-    """The walker and the numpy frontier walk one tree: equal leaf tallies,
-    which the one expansion turns into equal profiles, on ``g`` and on its
-    complement."""
-    for rows in (g.adj, complement(g).adj):
-        assert _frontier_leaves(rows) == _walk_leaves(rows)
+def _frontier_tallies(row_lists) -> list[dict[int, int]]:
+    """The numpy frontier's leaf counts by key, one dict per bit-rows list."""
+    tallies = [{} for _ in row_lists]
+    for graph, key, count in zip(*(a.tolist() for a in _frontier_leaves(row_lists))):
+        tallies[graph][key] = count
+    return tallies
+
+
+def _same_leaves(row_lists) -> None:
+    """The walker and the numpy frontier walk one tree: equal leaf tallies
+    per graph on every bit-rows list of ``row_lists``, counted as one batch,
+    and the batch's profiles equal those counted one graph at a time."""
+    assert _frontier_tallies(row_lists) == [_walk_leaves(rows) for rows in row_lists]
+    assert _tree_profiles(row_lists) == [_tree_profile(rows) for rows in row_lists]
 
 
 def test_frontier_matches_walker_on_every_graph_to_five_vertices():
-    for n in range(6):
-        for mask in range(1 << comb(n, 2)):
-            rows = Graph.from_edge_mask(n, mask).adj
-            assert _frontier_leaves(rows) == _walk_leaves(rows)
+    _same_leaves([Graph.from_edge_mask(n, mask).adj for n in range(6) for mask in range(1 << comb(n, 2))])
 
 
 @pytest.mark.parametrize("n", [0, 1, 3, 4, 5, 17, 31, 32, 33, 47, 62])
 def test_frontier_matches_walker_on_structured_graphs(n):
     rng = rng_for([41, n])
-    _same_leaves(Graph.empty(n))
-    _same_leaves(Graph.from_edges(n, [(0, v) for v in range(1, n)]))  # star
+    graphs = [Graph.empty(n), Graph.from_edges(n, [(0, v) for v in range(1, n)])]  # empty, star
     if n:
-        _same_leaves(build(walk("".join("+-"[b] for b in rng.integers(0, 2, size=n - 1)))))
+        graphs.append(build(walk("".join("+-"[b] for b in rng.integers(0, 2, size=n - 1)))))
+    _same_leaves([rows for g in graphs for rows in (g.adj, complement(g).adj)])
 
 
 @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.7, 0.9])
 def test_frontier_matches_walker_on_random_graphs(p):
-    # the dispatch sends only n >= 32 to the frontier; both must agree below
-    # that too.  At p = 0.9 the walker takes about a second per graph at n = 62
-    for n in range(51 if p == 0.9 else 63):
-        g = gnp_graph(n, p, rng_for([47, n, int(p * 10)]))
-        assert _frontier_leaves(g.adj) == _walk_leaves(g.adj)
+    # the dispatch sends only single graphs with n >= 32 to the frontier; the
+    # verify suites' batches hold smaller ones.  At p = 0.9 the walker takes
+    # about a second per graph at n = 62
+    _same_leaves([gnp_graph(n, p, rng_for([47, n, int(p * 10)])).adj for n in range(51 if p == 0.9 else 63)])
+
+
+def test_frontier_counts_mixed_sizes_in_one_batch():
+    rng = rng_for([59])
+    graphs = [gnp_graph(n, 0.5, rng) for n in (0, 1, 2, 12, 31, 32, 62)]
+    graphs += [Graph.complete(62), Graph.empty(62), Graph.empty(0), Graph.complete(12)]
+    row_lists = [g.adj for g in graphs] + [complement(g).adj for g in graphs]
+    _same_leaves(row_lists)
+    profiles = _tree_profiles(row_lists)
+    assert profiles == [_tree_profile(rows) for rows in row_lists]
+    assert [len(prof) for prof in profiles] == [len(rows) + 1 for rows in row_lists]
+    for g, prof in zip(graphs, profiles):
+        if g.n <= 12:
+            assert prof == profile_by_scan(g)
+    k62 = tuple(comb(62, t) for t in range(63))
+    assert profiles[7] == k62 and profiles[7][31] == comb(62, 31)  # the largest entry any profile has
+    assert profiles[8] == (1, 62) + (0,) * 61
+    assert profiles[len(graphs) + 8] == k62  # the empty graph's complement
+
+
+def test_frontier_counts_an_empty_batch():
+    assert _tree_profiles([]) == []
+    assert [a.tolist() for a in _frontier_leaves([])] == [[], [], []]
 
 
 def test_frontier_matches_walker_without_bitwise_count(monkeypatch):
     graphs = [gnp_graph(62, p, rng_for([53, int(p * 10)])) for p in (0.3, 0.5, 0.7)]
-    want = [_walk_leaves(g.adj) for g in graphs]
+    graphs += [gnp_graph(n, 0.5, rng_for([53, n])) for n in (0, 1, 2, 12, 31)]
+    row_lists = [g.adj for g in graphs]
+    want = [_walk_leaves(rows) for rows in row_lists]
     profiles = [clique_profile(g) for g in graphs]
     monkeypatch.delattr(np, "bitwise_count", raising=False)  # numpy 1.x has none
-    assert [_frontier_leaves(g.adj) for g in graphs] == want
+    assert _frontier_tallies(row_lists) == want
+    assert _tree_profiles(row_lists) == profiles
     assert [clique_profile(g) for g in graphs] == profiles
 
 

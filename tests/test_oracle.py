@@ -410,6 +410,19 @@ def test_random_graph_draws_one_bit_per_slot_in_edge_list_order():
             assert sample_random_graph(n, rng_for([seed])) == Graph.from_edges(n, edges)
 
 
+def test_random_graph_is_the_edge_mask_of_its_drawn_bits():
+    # the rows come straight from the slots of the drawn bits; the mask of
+    # those bits, built the long way, must give the same graph, and the
+    # sampler must leave the generator where the draw of the bits left it
+    for n in range(63):
+        for seed in range(3):
+            rng = rng_for([seed, n])
+            mask = sum(1 << int(i) for i in np.flatnonzero(rng.integers(0, 2, size=math.comb(n, 2))))
+            sampled = rng_for([seed, n])
+            assert sample_random_graph(n, sampled) == Graph.from_edge_mask(n, mask)
+            assert sampled.integers(1 << 62) == rng.integers(1 << 62)
+
+
 def test_random_coloring_draws_one_color_per_slot_in_edge_list_order():
     for seed in range(6):
         for n in range(13):
