@@ -33,7 +33,7 @@ from .multicolor import (
 )
 from .oracle import _TOTAL_SCAN_MAX, exhaustive_coloring_extremal, exhaustive_extremal
 from .oracle import random_tournament, rng_for, sample_random_coloring, sample_random_graph
-from .packing import MAX_RECTANGLE, BorderPath, _lattice_max, discrete_border_max
+from .packing import MAX_RECTANGLE, BorderPath, _border_maxima, _diagonal_max
 from .threshold import build, closed_form_counts, recognize
 
 MAX_COUNTEREXAMPLES = 10
@@ -217,7 +217,8 @@ def verify_thresholds(trials: int = 1000, n_max: int = 16, seed: int = 11) -> Re
 def verify_borders(t: int = 3, n_max: int = 20) -> Report:
     """Exact lattice-path maximization over every rectangle r + s = n,
     for each total size n <= n_max, reporting one ``n=...`` line per size
-    with its maximum scaled value, rectangle and turn count.
+    with its maximum scaled value, rectangle and turn count, all read from
+    one Pareto table of path sums (``_border_maxima``).
 
     A size whose best path over all rectangles has more than one turn is
     flagged as a violation.  At t = 3 this happens at n = 4, where the
@@ -240,21 +241,15 @@ def verify_borders(t: int = 3, n_max: int = 20) -> Report:
     _check("borders", "t", t, 2, t_max if limit else None)
     rep = Report("borders")
     local_multi_turn = 0
-    for n in range(n_max + 1):
-        best_val = None
-        turns_at_best = None
-        best_at = None
-        values = {}
+    for n, reads in enumerate(_border_maxima(t, n_max)):
+        local_multi_turn += sum(path.turns > 1 for path, _ in reads)
         for r in range(n + 1):
-            path, value = discrete_border_max(r, n - r, t)
-            values[r] = value
-            if path.turns > 1:
-                local_multi_turn += 1
-            if best_val is None or value > best_val or (value == best_val and path.turns < turns_at_best):
-                best_val, turns_at_best, best_at = value, path.turns, (r, n - r)
-        for r in range(n + 1):
-            if values[r] != values[n - r]:
+            if reads[r][1] != reads[n - r][1]:
                 rep.fail(f"value not symmetric between ({r},{n - r}) and ({n - r},{r}) at n={n}")
+        # the largest value, then the fewest turns, then the smallest r
+        r = min(range(n + 1), key=lambda i: (-reads[i][1], reads[i][0].turns))
+        (path, best_val), best_at = reads[r], (r, n - r)
+        turns_at_best = path.turns
         if turns_at_best > 1:
             rep.fail(f"best path over all splits of n={n} has {turns_at_best} turns (at {best_at})")
         rep.note(f"n={n}: max scaled value {best_val} at rectangle {best_at}, {turns_at_best} turn(s)")
@@ -375,21 +370,19 @@ def threshold_code_max(n: int, t: int) -> tuple[int, bool, list[str]]:
 
     A code is its graph's walk without the seed's step (``closed_form_counts``).
     Whichever sign the seed takes, it and the end point add C(a+1, t) to K_t
-    and C(b+1, t) to I_t at the code's end point (b, a), so ``_lattice_max``
+    and C(b+1, t) to I_t at the code's end point (b, a), so ``_diagonal_max``
     maximizes K_t * I_t over the codes as (n-1)-step walks with these end
-    terms, without building a graph.  Like ``pi_t`` on the built graph (one
-    vertex for n <= 1), raises for t outside [0, max(n, 1)].  The walk grows
-    about 14x per 5 vertices, so, like ``discrete_border_max``, it is capped
-    at ``MAX_RECTANGLE`` steps: n <= 25.
+    terms, without building a graph; the ties of t = 0 and t = 1, where
+    every code maximizes, cost nothing.  Like ``pi_t`` on the built graph
+    (one vertex for n <= 1), raises for t outside [0, max(n, 1)]; like
+    ``discrete_border_max``, capped at ``MAX_RECTANGLE`` steps: n <= 25.
     """
     steps = max(0, n - 1)
     if steps > MAX_RECTANGLE:
         raise ValueError(f"threshold code scan is capped at n <= {MAX_RECTANGLE + 1}, got {n}")
     if not 0 <= t <= steps + 1:
         raise ValueError(f"size t must be in [0, {steps + 1}], got {t}")
-    w, ends = _code_terms(steps, t)
-    best, hits = _lattice_max(w, steps, steps, steps, ends, ends)
-    return best, any(BorderPath(code).turns <= 1 for code in hits), hits[:5]
+    return _diagonal_max(*_code_terms(steps, t))
 
 
 SUITES = {

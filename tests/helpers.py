@@ -210,7 +210,7 @@ def two_turn_grid_argmax(t: int, k: int) -> tuple[int, int, int]:
     return best
 
 
-# The brute-force searches the pruned lattice walk replaced, kept as its oracles.
+# The brute-force searches the lattice-path search replaced, kept as its oracles.
 
 
 def border_max_by_enumeration(r: int, s: int, t: int):

@@ -324,7 +324,8 @@ def test_verify_borders_refuses_an_out_of_range_n_max_before_scanning(capsys, mo
     def no_scan(*args):
         raise AssertionError("scanned before checking --n-max")
 
-    monkeypatch.setattr("ngbounds.verify.discrete_border_max", no_scan)
+    # the suite reads every rectangle from one table: building it is the scan
+    monkeypatch.setattr("ngbounds.packing._pareto_table", no_scan)
     for n_max in ("25", "-1"):
         code, out, err = run(capsys, "verify", "borders", "--t", "3", "--n-max", n_max)
         assert (code, out) == (2, "")

@@ -6,8 +6,17 @@ from math import factorial, isclose, sqrt
 import pytest
 
 from ngbounds.oracle import rng_for
-from ngbounds.packing import BorderPath, discrete_border_max, leading_term_bound, one_turn_value
-from ngbounds.verify import threshold_code_max
+from ngbounds.packing import (
+    BorderPath,
+    _border_cut,
+    _border_max,
+    _border_weights,
+    _pareto_table,
+    discrete_border_max,
+    leading_term_bound,
+    one_turn_value,
+)
+from ngbounds.verify import threshold_code_max, verify_borders
 
 from helpers import (
     border_from_heights,
@@ -119,6 +128,11 @@ def test_discrete_border_max_fixtures():
     with pytest.raises(ValueError):
         discrete_border_max(13, 12, 3)
 
+    # past the enumeration oracle's reach, as the earlier depth-first search found them: the
+    # table is cut here, and the best path turns twice, once in its last column or row
+    assert discrete_border_max(11, 12, 6) == (BorderPath("++++++++++------------+"), Fraction(1937857176, 25))
+    assert discrete_border_max(12, 11, 6) == (BorderPath("----------++++++++++++-"), Fraction(1937857176, 25))
+
 
 def test_discrete_border_max_agrees_with_direct_enumeration():
     from itertools import combinations_with_replacement
@@ -136,10 +150,11 @@ def test_discrete_border_max_agrees_with_direct_enumeration():
         assert value == Fraction(best, factorial(t) ** 2)
 
 
-@pytest.mark.parametrize("t", (2, 3, 4, 5))
+@pytest.mark.parametrize("t", (2, 3, 4, 5, 6))
 def test_discrete_border_max_matches_path_enumeration(t):
-    # path and value, tie-break included
-    for n in range(13):
+    # path and value, tie-break included; the oracle's 2^(n+1) paths make n = 18 about a second.
+    # From t = 6 the table cuts its large entries, and two-turn paths win at 7 x 7 and 9 x 9
+    for n in range(19):
         for r in range(n + 1):
             got_path, got_value = discrete_border_max(r, n - r, t)
             want_path, want_value = border_max_by_enumeration(r, n - r, t)
@@ -148,8 +163,9 @@ def test_discrete_border_max_matches_path_enumeration(t):
 
 @pytest.mark.parametrize("t", range(6))
 def test_threshold_code_max_matches_code_enumeration(t):
-    # value, one-turn flag and the first five maximizers in code order
-    for n in range(t, 13):
+    # value, one-turn flag and the first five maximizers in code order; the
+    # oracle builds and counts 2^(n-1) graphs, so n = 14 takes about a second
+    for n in range(t, 15):
         assert threshold_code_max(n, t) == code_max_by_enumeration(n, t)
 
 
@@ -164,8 +180,98 @@ def test_threshold_code_max_refuses_sizes_past_n():
     assert time.perf_counter() - start < 0.5
 
 
+@pytest.mark.parametrize("t, n_max", ((2, 20), (3, 20), (4, 20), (5, 20), (6, 20), (20, 16), (40, 16)))
+def test_verify_borders_reads_each_rectangle_as_discrete_border_max(t, n_max, monkeypatch):
+    # the suite builds one table and reads all rectangles from it; each read
+    # must give what the rectangle's own search gives, also where the table
+    # is cut for every rectangle at once (large t)
+    builds, reads = [], {}
+
+    def build(*args):
+        builds.append(args[1:4])
+        return _pareto_table(*args)
+
+    def read(table, w, r, s, t):
+        reads[r, s] = _border_max(table, w, r, s, t)
+        return reads[r, s]
+
+    monkeypatch.setattr("ngbounds.packing._pareto_table", build)
+    monkeypatch.setattr("ngbounds.packing._border_max", read)
+    verify_borders(t, n_max)
+    monkeypatch.undo()
+    assert builds == [(n_max, n_max, n_max)]
+    assert sorted(reads) == sorted((r, n - r) for n in range(n_max + 1) for r in range(n + 1))
+    for (r, s), got in reads.items():
+        assert got == discrete_border_max(r, s, t)
+
+
+def _pairs(table):
+    return sum(len(hs) for hs, _ in table.values())
+
+
+@pytest.mark.parametrize("t", (20, 40, 100))
+def test_discrete_border_max_cuts_large_t_tables_and_matches_path_enumeration(t):
+    # as t grows nearly every walk is Pareto-maximal, so the table cuts its
+    # large entries; the cut must keep every maximizer and tie
+    for n in range(17):
+        for r in range(n + 1):
+            assert discrete_border_max(r, n - r, t) == border_max_by_enumeration(r, n - r, t)
+    w = _border_weights(t, 8)
+    assert _pairs(_pareto_table(w, 8, 8, 16, _border_cut(w, t, [(8, 8)]))) < _pairs(_pareto_table(w, 8, 8, 16))
+
+
+def test_large_t_tables_stay_small_at_the_rectangle_cap():
+    # uncut, the t = 40 table for r + s <= 24 holds one pair per walk: 2^25 - 1
+    for t in (40, 300):
+        w = _border_weights(t, 24)
+        rects = [(r, n - r) for n in range(25) for r in range(n + 1)]
+        assert _pairs(_pareto_table(w, 24, 24, 24, _border_cut(w, t, rects))) < 50_000
+    # the earlier depth-first search's report at t = 6, where the table is cut
+    rep = verify_borders(6, 24)
+    assert rep.passed and rep.lines[-2:] == [
+        "n=24: max scaled value 11059006000/81 at rectangle (10, 14), 1 turn(s)",
+        "per-rectangle argmax had more than one turn in 8 balanced cases",
+    ]
+
+
+def test_searches_at_the_caps_finish_within_a_second():
+    # the cases the earlier depth-first search took 0.14 to 3.4 s over; t = 2 ties tens of
+    # thousands of paths in a 12 x 12 rectangle
+    start = time.perf_counter()
+    rep = verify_borders(3, 24)
+    assert time.perf_counter() - start < 1
+    assert rep.lines[-2] == "n=24: max scaled value 820125/2 at rectangle (9, 15), 1 turn(s)"
+    for t in (2, 3, 4, 5):
+        start = time.perf_counter()
+        discrete_border_max(12, 12, t)
+        assert time.perf_counter() - start < 1
+    # the earlier depth-first search's answers at n = 25; t = 2 meets floor(M/2) * ceil(M/2), M = C(25, 2)
+    t2 = ["-------++++++++++++++-++", "-------+++++++++++++++--", "------+-++++++++++++-+++",
+          "------+-+++++++++++++-+-", "------++-++++++++++-++++"]
+    start = time.perf_counter()
+    assert threshold_code_max(25, 2) == (22500, False, t2)
+    assert time.perf_counter() - start < 1
+    # from t = 3 on, the one-turn code of x '-' then 24 - x '+', and its complement
+    one_turn = {3: (369600, 9), 4: (2743650, 10), 5: (10216206, 10), 6: (20810790, 11), 7: (23330736, 11),
+                8: (14369355, 11), 9: (4758325, 12), 10: (836836, 12), 11: (67860, 12), 12: (2041, 12)}
+    for t, (value, x) in one_turn.items():
+        start = time.perf_counter()
+        assert threshold_code_max(25, t) == (value, True, ["-" * x + "+" * (24 - x), "+" * x + "-" * (24 - x)])
+        assert time.perf_counter() - start < 1
+
+
+def test_threshold_code_max_stops_at_five_when_every_code_ties():
+    # at t = 0 and t = 1 each of the 2^24 codes scores 1 and n^2; from t = 14
+    # no code holds both a t-clique and a t-independent set, and each scores 0
+    first = ["-" * 24, "-" * 23 + "+", "-" * 22 + "+-", "-" * 22 + "++", "-" * 21 + "+--"]
+    for t, value in ((0, 1), (1, 625), (14, 0), (25, 0)):
+        start = time.perf_counter()
+        assert threshold_code_max(25, t) == (value, True, first)
+        assert time.perf_counter() - start < 1
+
+
 def test_threshold_code_max_at_twenty_vertices():
-    # 2^19 codes; the pruned walk visits a small fraction of them
+    # 2^19 codes; the Pareto table holds a few thousand sums
     value, one_turn, argmax = threshold_code_max(20, 3)
     assert value == 88088 and one_turn
     assert argmax == ["-------++++++++++++", "+++++++------------"]
