@@ -20,7 +20,6 @@ from .counting import (
     independent_profile,
     pi,
     pi_t,
-    profile_by_scan,
     sigma,
     sigma_t,
 )

@@ -3,20 +3,18 @@
 ``clique_profile`` counts the cliques of every size on the succinct clique
 tree of Jain and Seshadhri (WSDM 2020), on bit-rows with no memo.  The tree
 stops at a candidate set of at most 3 vertices and tallies its cliques in
-closed form.  One tree, two traversals that tally the same leaves: a
-single graph with fewer than 32 vertices is walked depth first in Python;
-a larger one, and any batch of graphs handed to ``_tree_profiles``, level
-by level in numpy.  The frontier takes up to 2,048 nodes a step from one
-depth-first stack that holds the nodes of every graph in the batch, each
-keyed by its graph.  A step's arrays hold at most 2,048 x 64 (node,
+closed form.  One traversal counts everything: ``_tree_profiles`` walks the
+trees of a batch of bit-rows lists level by level in numpy, and a single
+graph is a batch of one.  The frontier takes up to 2,048 nodes a step from
+one depth-first stack that holds the nodes of every graph in the batch,
+each keyed by its graph.  A step's arrays hold at most 2,048 x 64 (node,
 vertex) pairs, and the stack at most one block of children per tree level;
 one profile of the complement of C62 peaks at 3.0 MB of traced
-allocations.  Counting takes the rows alone, so ``independent_profile``
-counts on the complemented rows and builds no complement ``Graph``, and the
-compression and thresholds verify suites count a group of trials' rows,
-their rewrites and complements in one batch.  ``profile_by_scan``
-classifies all 2^n subsets directly and is kept as the independent oracle;
-the two paths share no code.
+allocations.  Each step costs a few dozen numpy calls however few nodes it
+holds, so a caller that counts many small graphs hands them over in one
+batch, or in batches of about ``GROUP_ROWS`` rows when their number has no
+bound.  Counting takes the rows alone, so ``independent_profile`` counts
+on the complemented rows and builds no complement ``Graph``.
 
 Counts are Python ints (arbitrary precision): k(K_62) = 2^62 already
 overflows 64 bits once multiplied into the product quantity.
@@ -46,8 +44,8 @@ _SLOT_BY_SUM = np.zeros(10, dtype=np.int64)
 _SLOT_BY_SUM[[2 * e + s for s, e in _LEAF_SETS]] = range(len(_LEAF_SETS))
 # A leaf key is 512 holds + 8 pivots + slot < 2^15; a frontier code adds 2^15 graph.
 _HOLD, _PIVOT, _GRAPH_SHIFT = 512, 8, 15
-_FRONTIER_MIN = 32  # a single graph from this many vertices walks the tree in numpy
 _CHUNK = 2048  # tree nodes per numpy step: bounds the memory of one step
+GROUP_ROWS = 1024  # rows, complements aside, that a caller of unbounded batches counts in one call
 _BELOW = np.array([(1 << v) - 1 for v in range(64)], dtype="<u8")  # the vertices below v
 
 
@@ -59,43 +57,6 @@ def _leaf_poly(key: int) -> tuple[int, ...]:
     s, e = _LEAF_SETS[slot]
     poly = [c for c in (1, s, e, int(e == 3)) if c]
     return tuple(sum(c * comb(pivots, i - j) for j, c in enumerate(poly[: i + 1])) for i in range(pivots + len(poly)))
-
-
-def _walk_leaves(rows) -> dict[int, int]:
-    """Leaf counts by key of the succinct clique tree of the graph with
-    bit-rows ``rows``, walked depth first in Python (see ``clique_profile``)."""
-    leaves: dict[int, int] = {}  # 512 holds + 8 pivots + slot -> leaf count; literal steps below, as globals cost 2%
-
-    def walk(cand: int, key: int) -> None:
-        while cand.bit_count() > 3:
-            best, m = -1, cand
-            while m:
-                low = m & -m
-                m ^= low
-                v = low.bit_length() - 1
-                d = (rows[v] & cand).bit_count()
-                if d > best:
-                    best, p = d, v
-            row = rows[p]
-            rest = cand & ~row & ~(1 << p)
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                walk(cand & rows[low.bit_length() - 1], key + 512)
-                cand ^= low
-            cand &= row
-            key += 8
-        s = e = 0
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            s += 1
-            e += (rows[low.bit_length() - 1] & cand).bit_count()
-        key += s + e + (s > 2)
-        leaves[key] = leaves.get(key, 0) + 1
-
-    walk((1 << len(rows)) - 1, 0)
-    return leaves
 
 
 def _popcount64(arr: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -132,16 +93,16 @@ def _fold(code: np.ndarray, count: np.ndarray, leaves: list[np.ndarray]) -> tupl
 
 
 def _frontier_leaves(row_lists) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The leaf counts of ``_walk_leaves`` on every bit-rows list of
-    ``row_lists``, from one walk of all their trees in numpy, up to
-    _CHUNK nodes a step; returned as graph index, key and count arrays,
-    ordered by graph, then key.
+    """The leaf counts by key of the succinct clique tree (see
+    ``clique_profile``) of every bit-rows list of ``row_lists``, from one
+    walk of all their trees in numpy, up to _CHUNK nodes a step; returned as
+    graph index, key and count arrays, ordered by graph, then key.
 
     The rows of all graphs stand in one array, graph i's from base[i] on.  A
     node is a candidate set, a little-endian uint64 word, and its code
     2^15 i + 512 holds + 8 pivots.  Each step pops a chunk off a depth-first
     stack, tallies its leaves and pushes the children of the other nodes: the
-    pivot child cand & N(p), and for each hold v the walker's candidate set
+    pivot child cand & N(p), and for each hold v the candidate set
     cand & N(v) less the holds before v."""
     sizes = np.array([len(rows) for rows in row_lists], dtype=np.int64)
     base = np.cumsum(sizes) - sizes
@@ -181,7 +142,7 @@ def _frontier_leaves(row_lists) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         cand, key, deg, off = cand[inner], key[inner], deg[inner], off[inner]
         if not len(cand):
             continue
-        p = deg.argmax(axis=1)  # the first vertex of largest degree, the walker's pivot
+        p = deg.argmax(axis=1)  # the pivot: the first vertex of largest degree
         rest = cand & ~closed[off + p]
         at = _bits(rest, shift)
         node, v = at >> shift, at & width - 1
@@ -221,20 +182,6 @@ def _tree_profiles(row_lists) -> list[tuple[int, ...]]:
     return [tuple(sizes[: len(rows) + 1]) for sizes, rows in zip(by_size.tolist(), row_lists)]
 
 
-def _tree_profile(rows) -> tuple[int, ...]:
-    """Clique counts of every size of the graph with bit-rows ``rows``, from
-    the succinct clique tree (see ``clique_profile``)."""
-    n = len(rows)
-    if n >= _FRONTIER_MIN:
-        return _tree_profiles([rows])[0]
-    by_size = [0] * (n + 1)
-    for key, cnt in _walk_leaves(rows).items():
-        holds, key = divmod(key, _HOLD)
-        for i, c in enumerate(_leaf_poly(key), holds):
-            by_size[i] += cnt * c
-    return tuple(by_size)
-
-
 def clique_profile(g: Graph) -> tuple[int, ...]:
     """Entry t counts the t-vertex cliques, from the succinct clique tree.
 
@@ -248,43 +195,17 @@ def clique_profile(g: Graph) -> tuple[int, ...]:
     x^h (1 + x)^q (1 + s x + e x^2 + [e = 3] x^3) to the profile.  Leaves are
     tallied by (h, q, s, e) and expanded once at the end.
 
-    Below 32 vertices a Python walker visits the tree one node at a time.
-    From 32 on, a numpy frontier takes up to 2,048 nodes a step off a
-    depth-first stack: it reads their member vertices and degrees in bulk,
-    picks each pivot as the first vertex of largest degree, as the walker
-    does, tallies the leaves by graph and key and pushes the children.  Both
-    build the same tree and tally the same leaves; the frontier wins once a
-    call visits more than a few hundred nodes, which one small graph rarely
-    does, so the verify suites hand it their small graphs in batches."""
-    return _tree_profile(g.adj)
+    A numpy frontier takes up to 2,048 nodes a step off a depth-first stack:
+    it reads their member vertices and degrees in bulk, picks each pivot as
+    the first vertex of largest degree, tallies the leaves by graph and key
+    and pushes the children (see ``_frontier_leaves``)."""
+    return _tree_profiles([g.adj])[0]
 
 
 def independent_profile(g: Graph) -> tuple[int, ...]:
     """Entry t is the number of t-vertex independent sets: the cliques of the
     complemented rows."""
-    return _tree_profile(complement_rows(g.adj))
-
-
-def profile_by_scan(g: Graph) -> tuple[int, ...]:
-    """Oracle: scan all 2^n subsets, extending cliques one vertex at a time.
-
-    Deliberately independent of the clique tree.  Capped at n <= 20.
-    """
-    n = g.n
-    if n > 20:
-        raise ValueError(f"subset scan is capped at n <= 20, got {n}")
-    adj = g.adj
-    is_cl = bytearray(1 << n)
-    is_cl[0] = 1
-    by_size = [0] * (n + 1)
-    by_size[0] = 1
-    for mask in range(1, 1 << n):
-        v = (mask & -mask).bit_length() - 1
-        rest = mask & (mask - 1)
-        if is_cl[rest] and adj[v] & rest == rest:
-            is_cl[mask] = 1
-            by_size[mask.bit_count()] += 1
-    return tuple(by_size)
+    return _tree_profiles([complement_rows(g.adj)])[0]
 
 
 def count_cliques(g: Graph) -> int:

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb, factorial, prod
 
-from .counting import count_cliques
+from .counting import _tree_profiles
 from .graphs import MAX_VERTICES, Graph, edge_list, edge_slot, iter_bits
 
 MAX_COLORS = 1 << 16  # a family builds one graph per color
@@ -78,8 +78,10 @@ class GraphFamily:
 
     def clique_counts(self) -> list[int]:
         """k(G_i) for each color i.  A color with no edge has the n + 1
-        cliques of the edgeless graph, so only the colors in use are counted."""
-        return [count_cliques(g) if any(g.adj) else self.n + 1 for g in self.members]
+        cliques of the edgeless graph, so only the colors in use are counted,
+        all in one call."""
+        counts = iter(map(sum, _tree_profiles([g.adj for g in self.members if any(g.adj)])))
+        return [next(counts) if any(g.adj) else self.n + 1 for g in self.members]
 
     @property
     def covers_all_edges(self) -> bool:

@@ -35,8 +35,8 @@ from typing import Optional
 
 import numpy as np
 
-from .counting import _popcount64, pi, pi_t, sigma, sigma_t
-from .graphs import MAX_VERTICES, Graph, edge_list, emit_graph6, iter_bits, parse_graph6
+from .counting import GROUP_ROWS, _check_t, _popcount64, _tree_profiles
+from .graphs import MAX_VERTICES, Graph, complement_rows, edge_list, emit_graph6, iter_bits, parse_graph6
 from .multicolor import MAX_COLORS, GraphFamily, Tournament, emit_coloring, parse_coloring
 from .multicolor import product_clique_counts, sum_clique_counts
 
@@ -47,14 +47,9 @@ _COLORING_LOOKUPS_MAX = 1 << 22  # r^(C(n,2)+1): 4^11 at (n, r) = (5, 4)
 _BLOCK = 1 << 16  # edge masks per block: a stripe's 512 KiB of AND words stays in cache, where 2^20 ran slower
 _STRIPES = 2  # threads per graph-scan shard: the reference machine has nproc = 2
 
-# name -> (value of one parsed witness, the numpy ufunc that combines a
-# graph's clique and independent counts or a coloring's per-color counts)
-_GRAPH_QUANTITIES = {
-    "sigma": (lambda g, t: sigma(g), np.add),
-    "pi": (lambda g, t: pi(g), np.multiply),
-    "sigma_t": (sigma_t, np.add),
-    "pi_t": (pi_t, np.multiply),
-}
+# name -> the numpy ufunc that combines a graph's clique and independent counts
+_GRAPH_QUANTITIES = {"sigma": np.add, "pi": np.multiply, "sigma_t": np.add, "pi_t": np.multiply}
+# name -> (value of one parsed witness, the numpy ufunc that combines its per-color counts)
 _COLORING_QUANTITIES = {"sum": (sum_clique_counts, np.add), "product": (product_clique_counts, np.multiply)}
 
 
@@ -77,15 +72,22 @@ class ExtremalRecord:
     r: Optional[int] = None  # the color count of a coloring scan, None for a graph scan
 
     def recheck(self) -> bool:
-        """Re-evaluate every stored witness from its serialized form."""
+        """Re-evaluate every stored witness from its serialized form.  A graph
+        record counts all its witnesses and their complements in one call."""
         if self.value is None:
             return not self.witnesses
-        for blob in self.witnesses:
-            if self.r is None:
-                got = _GRAPH_QUANTITIES[self.quantity][0](parse_graph6(blob), self.t)
+        if self.r is not None:
+            evaluate = _COLORING_QUANTITIES[self.quantity][0]
+            return all(evaluate(parse_coloring(blob)) == self.value for blob in self.witnesses)
+        graphs = [parse_graph6(blob) for blob in self.witnesses]
+        profiles = _tree_profiles([g.adj for g in graphs] + [complement_rows(g.adj) for g in graphs])
+        for g, kp, ip in zip(graphs, profiles, profiles[len(graphs) :]):
+            if self.t is None:
+                k, i = sum(kp), sum(ip)
             else:
-                got = _COLORING_QUANTITIES[self.quantity][0](parse_coloring(blob))
-            if got != self.value:
+                _check_t(g, self.t)
+                k, i = kp[self.t], ip[self.t]
+            if (k + i if self.quantity.startswith("sigma") else k * i) != self.value:
                 return False
         return True
 
@@ -231,7 +233,7 @@ def exhaustive_extremal(
         raise ValueError(f"shard must be in [0, {shards}), got {shard}")
 
     want_max = direction == "max"
-    combine = _GRAPH_QUANTITIES[quantity][1]
+    combine = _GRAPH_QUANTITIES[quantity]
     scan = partial(_scan_stripe, *_tables(n, t if sized else None), shards, shard, combine, want_max)
     parts: list = [None] * _STRIPES
 
@@ -399,4 +401,10 @@ def random_pi_exponent(n: int, trials: int, seed: int) -> tuple[int, ...]:
         raise ValueError(f"exponent sampling needs 2 <= n <= {MAX_VERTICES}, got {n}")
     if trials < 1:
         raise ValueError("need at least one trial")
-    return tuple(pi(sample_random_graph(n, rng_for([seed, i]))) for i in range(trials))
+    products: list[int] = []
+    step = max(1, GROUP_ROWS // n)  # trials counted in one call, with their complements
+    for first in range(0, trials, step):
+        rows = [sample_random_graph(n, rng_for([seed, i])).adj for i in range(first, min(first + step, trials))]
+        profiles = _tree_profiles(rows + [complement_rows(adj) for adj in rows])
+        products += (sum(kp) * sum(ip) for kp, ip in zip(profiles, profiles[len(rows) :]))
+    return tuple(products)

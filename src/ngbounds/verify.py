@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from math import comb, factorial, prod
 
 from .compression import _move, compress_to_threshold
-from .counting import _tree_profiles
+from .counting import GROUP_ROWS, _tree_profiles
 from .graphs import MAX_VERTICES, Graph, complement_rows, emit_graph6
 from .multicolor import (
     GraphFamily,
@@ -28,7 +28,6 @@ from .multicolor import (
     multicolor_upper_bound,
     pigeonhole_sequence,
     product_clique_counts,
-    sum_clique_counts,
     tournament_construction,
 )
 from .oracle import _TOTAL_SCAN_MAX, exhaustive_coloring_extremal, exhaustive_extremal
@@ -38,7 +37,6 @@ from .threshold import build, closed_form_counts, recognize
 
 MAX_COUNTEREXAMPLES = 10
 THRESHOLD_SIZES = (2, 3, 4)  # the sizes t whose closed-form counts the thresholds suite checks
-GROUP_ROWS = 1024  # rows the compression and thresholds suites count in one call, complements aside
 
 
 @dataclass
@@ -270,7 +268,8 @@ def verify_multicolor(trials: int = 100, seed: int = 23) -> Report:
         q = int(rng.integers(0, min(3, n) + 1))
         fam = sample_random_coloring(n, r, rng)
         blob = emit_coloring(fam)
-        product = product_clique_counts(fam)
+        counts = fam.clique_counts()
+        product = prod(counts)
 
         low = prod(pigeonhole_sequence(n, r, q))
         hi = factorial(q) * product
@@ -285,7 +284,7 @@ def verify_multicolor(trials: int = 100, seed: int = 23) -> Report:
         if bound > product:
             rep.fail(f"certificate bound {bound} exceeds the product", blob)
 
-        total = sum_clique_counts(fam)
+        total = sum(counts)
         if total**r < r**r * product:
             rep.fail(f"AM-GM fails at n={n} r={r}", blob)
     rep.note(f"{trials} random total colorings, seed {seed}: sandwich/certificate/AM-GM")

@@ -1,16 +1,16 @@
 """Small graph builders, walk, packing and pivot oracles, exact polynomial
-certificates, and the scans the fast paths replaced, shared across test
-modules."""
+certificates, the counting oracles, and the scans the fast paths replaced,
+shared across test modules."""
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, islice, permutations
 from math import comb, factorial, log, log2
 
 import numpy as np
 
 from ngbounds import BorderPath, ExtremalRecord, Graph, GraphFamily, build, emit_coloring, emit_graph6, one_turn_value
-from ngbounds import pi_t, sample_random_graph
-from ngbounds.counting import _popcount64
+from ngbounds import sample_random_graph
+from ngbounds.counting import _HOLD, _leaf_poly, _popcount64, _tree_profiles
 from ngbounds.graphs import complement_rows
 from ngbounds.oracle import _GRAPH_QUANTITIES, WITNESS_CAP, _mask_counts, _tables
 
@@ -51,6 +51,101 @@ def gnp_graph(n: int, p: float, rng) -> Graph:
             if hit:
                 mask |= 1 << i
     return Graph.from_edge_mask(n, mask)
+
+
+# The counting oracles: the Python walker of the clique tree, which must tally
+# the same leaves as the numpy frontier, and the subset scan, which shares no
+# code with either.
+
+
+def _walk_leaves(rows) -> dict[int, int]:
+    """Leaf counts by key of the succinct clique tree of the graph with
+    bit-rows ``rows``, walked depth first in Python (see ``clique_profile``)."""
+    leaves: dict[int, int] = {}  # 512 holds + 8 pivots + slot -> leaf count; literal steps below, as globals cost 2%
+
+    def walk(cand: int, key: int) -> None:
+        while cand.bit_count() > 3:
+            best, m = -1, cand
+            while m:
+                low = m & -m
+                m ^= low
+                v = low.bit_length() - 1
+                d = (rows[v] & cand).bit_count()
+                if d > best:
+                    best, p = d, v
+            row = rows[p]
+            rest = cand & ~row & ~(1 << p)
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                walk(cand & rows[low.bit_length() - 1], key + 512)
+                cand ^= low
+            cand &= row
+            key += 8
+        s = e = 0
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            s += 1
+            e += (rows[low.bit_length() - 1] & cand).bit_count()
+        key += s + e + (s > 2)
+        leaves[key] = leaves.get(key, 0) + 1
+
+    walk((1 << len(rows)) - 1, 0)
+    return leaves
+
+
+def walker_profile(rows) -> tuple[int, ...]:
+    """Clique counts of every size of the graph with bit-rows ``rows``, from
+    the walker's leaf tallies expanded one by one in Python ints."""
+    by_size = [0] * (len(rows) + 1)
+    for key, cnt in _walk_leaves(rows).items():
+        holds, key = divmod(key, _HOLD)
+        for i, c in enumerate(_leaf_poly(key), holds):
+            by_size[i] += cnt * c
+    return tuple(by_size)
+
+
+def batch_profiles(row_lists, chunk: int = 4096) -> list[tuple[int, ...]]:
+    """The clique profile of each bit-rows list of ``row_lists``, counted
+    through ``_tree_profiles`` ``chunk`` lists a call, as the library counts
+    its own batches: one call per graph would cost a batch's fixed numpy
+    overhead each time."""
+    row_lists = list(row_lists)
+    return [prof for lo in range(0, len(row_lists), chunk) for prof in _tree_profiles(row_lists[lo : lo + chunk])]
+
+
+def family_clique_counts(fams, chunk: int = 4096):
+    """Yield each family of the iterable ``fams`` with the clique counts k(G_i)
+    of all its members, in order; the members of ``chunk`` families at a
+    time are counted in one batch."""
+    fams = iter(fams)
+    while part := list(islice(fams, chunk)):
+        profiles = iter(batch_profiles([g.adj for fam in part for g in fam.members]))
+        for fam in part:
+            yield fam, [sum(next(profiles)) for _ in fam.members]
+
+
+def profile_by_scan(g: Graph) -> tuple[int, ...]:
+    """Oracle: scan all 2^n subsets, extending cliques one vertex at a time.
+
+    Deliberately independent of the clique tree.  Capped at n <= 20.
+    """
+    n = g.n
+    if n > 20:
+        raise ValueError(f"subset scan is capped at n <= 20, got {n}")
+    adj = g.adj
+    is_cl = bytearray(1 << n)
+    is_cl[0] = 1
+    by_size = [0] * (n + 1)
+    by_size[0] = 1
+    for mask in range(1, 1 << n):
+        v = (mask & -mask).bit_length() - 1
+        rest = mask & (mask - 1)
+        if is_cl[rest] and adj[v] & rest == rest:
+            is_cl[mask] = 1
+            by_size[mask.bit_count()] += 1
+    return tuple(by_size)
 
 
 def full_scan_pivot(rows, degs):
@@ -244,13 +339,16 @@ def border_max_by_enumeration(r: int, s: int, t: int):
 
 
 def code_max_by_enumeration(n: int, t: int):
-    """threshold_code_max by building and counting all 2^(n-1) codes."""
+    """threshold_code_max by building and counting all 2^(n-1) codes, their
+    graphs and complements in batches."""
     best = -1
     one_turn = False
     argmax = []
-    for bits in range(1 << max(0, n - 1)):
-        symbols = "".join("+" if (bits >> i) & 1 else "-" for i in range(n - 1))
-        val = pi_t(build(walk(symbols[::-1])), t)
+    codes = ["".join("+" if (bits >> i) & 1 else "-" for i in range(n - 1)) for bits in range(1 << max(0, n - 1))]
+    rows = [build(walk(symbols[::-1])).adj for symbols in codes]
+    profiles = batch_profiles(rows + [complement_rows(adj) for adj in rows])
+    for symbols, kp, ip in zip(codes, profiles, profiles[len(rows) :]):
+        val = kp[t] * ip[t]
         if val > best:
             best, argmax, one_turn = val, [], False
         if val == best:
@@ -287,7 +385,7 @@ def extremal_by_gather(n: int, quantity: str, direction: str, t=None, shards: in
     chunk = 1 << 22
     m = n * (n - 1) // 2
     lo_bits, words = _tables(n, t)
-    combine = _GRAPH_QUANTITIES[quantity][1]
+    combine = _GRAPH_QUANTITIES[quantity]
     want_max = direction == "max"
     best = None
     masks = []

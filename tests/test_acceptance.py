@@ -59,6 +59,7 @@ from ngbounds.verify import (
 from helpers import (
     conjugate,
     exponent_ratios,
+    family_clique_counts,
     one_turn_slope_identity,
     packed_pair,
     poly_at,
@@ -292,20 +293,24 @@ def test_acceptance_11_covering_tuple_bounds():
     for n in range(1, 6):
         cap_cover = (4 * 2 - 2) ** (2 * 1) * n ** comb(2, 2)
         cap_prod = multicolor_upper_bound(n, 2)
-        slots = edge_list(n)
-        for colors in iproduct(range(3), repeat=len(slots)):
-            fam = GraphFamily(n, 2, [c - 1 if c else None for c in colors])
-            if count_covering_tuples(fam) > cap_cover or product_clique_counts(fam) > cap_prod:
+        colorings = iproduct(range(3), repeat=len(edge_list(n)))
+        fams = (GraphFamily(n, 2, [c - 1 if c else None for c in colors]) for colors in colorings)
+        # each family's product of clique counts, its members counted in batches
+        for fam, counts in family_clique_counts(fams):
+            if count_covering_tuples(fam) > cap_cover or prod(counts) > cap_prod:
                 ok = False
+    fams = []
     for trial in range(1000):
         rng = rng_for([31337, trial])
         n = int(rng.integers(1, 7))
         draws = [int(rng.integers(0, 4)) for _ in edge_list(n)]
-        fam = GraphFamily(n, 3, [c - 1 if c else None for c in draws])
+        fams.append(GraphFamily(n, 3, [c - 1 if c else None for c in draws]))
+    for fam, counts in family_clique_counts(fams):
+        n = fam.n
         cap_cover = (4 * 3 - 2) ** (3 * 2) * n ** comb(3, 2)
         if count_covering_tuples(fam) > cap_cover:
             ok = False
-        if product_clique_counts(fam) > multicolor_upper_bound(n, 3):
+        if prod(counts) > multicolor_upper_bound(n, 3):
             ok = False
     assert _report("11 covering-tuple-bounds", ok)
 

@@ -10,11 +10,10 @@ import pytest
 
 import ngbounds.verify
 from ngbounds import ExtremalRecord, Graph, emit_coloring, emit_graph6, leading_term_bound, multicolor_upper_bound
-from ngbounds import profile_by_scan
 from ngbounds.cli import main
 from ngbounds.verify import SUITES, Report
 
-from helpers import complement, cycle_graph
+from helpers import complement, cycle_graph, profile_by_scan
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 BENCH_INPUTS = PERFBENCH / "inputs"

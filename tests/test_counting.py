@@ -10,15 +10,16 @@ from ngbounds import (
     independent_profile,
     pi,
     pi_t,
-    profile_by_scan,
     sigma,
     sigma_t,
 )
-from ngbounds.counting import _frontier_leaves, _tree_profile, _tree_profiles, _walk_leaves
+from ngbounds.counting import _frontier_leaves, _tree_profiles
+from ngbounds.graphs import complement_rows
 from ngbounds.oracle import rng_for
 from ngbounds.threshold import closed_form_counts
 
-from helpers import complement, cycle_graph, gnp_graph, path_graph, random_graph, walk
+from helpers import _walk_leaves, batch_profiles, complement, cycle_graph, gnp_graph, path_graph, profile_by_scan
+from helpers import random_graph, walk, walker_profile
 
 
 def test_profile_fixtures():
@@ -101,20 +102,20 @@ def test_complement_duality():
 
 
 def test_sum_cap_small_exhaustive():
-    # every graph on up to 5 vertices: sum <= 2^n + n + 1, equality only complete/empty
-    from math import comb
-
+    # every graph on up to 5 vertices: sum <= 2^n + n + 1, equality only complete/empty;
+    # each n's graphs and complements are counted in one batch
     for n in range(1, 6):
         cap = 2**n + n + 1
         full = 2 ** (n * (n - 1) // 2)
-        for mask in range(full):
-            g = Graph.from_edge_mask(n, mask)
-            val = sigma(g)
+        rows = [Graph.from_edge_mask(n, mask).adj for mask in range(full)]
+        profiles = batch_profiles(rows + [complement_rows(adj) for adj in rows])
+        for mask, (kp, ip) in enumerate(zip(profiles, profiles[full:])):
+            val = sum(kp) + sum(ip)
             assert val <= cap
             if val == cap:
                 assert mask == 0 or mask == full - 1
             for t in range(2, n + 1):
-                assert sigma_t(g, t) <= comb(n, t)
+                assert kp[t] + ip[t] <= comb(n, t)
 
 
 def test_sized_sum_cap_at_six_via_scan():
@@ -186,9 +187,12 @@ def test_engine_matches_subset_scan_on_every_graph_to_six_vertices():
         full = (1 << comb(n, 2)) - 1
         graphs = [Graph.from_edge_mask(n, mask) for mask in range(full + 1)]
         scans = [profile_by_scan(g) for g in graphs]
-        for mask, (g, scan) in enumerate(zip(graphs, scans)):
-            assert clique_profile(g) == scan
-            assert independent_profile(g) == scans[full ^ mask]
+        # clique and independent-set profiles, as clique_profile and
+        # independent_profile count them, in one batch per n
+        profiles = batch_profiles([g.adj for g in graphs] + [complement_rows(g.adj) for g in graphs])
+        for mask, scan in enumerate(scans):
+            assert profiles[mask] == scan
+            assert profiles[full + 1 + mask] == scans[full ^ mask]
 
 
 def test_engine_matches_memoized_recursion_on_dense_graphs():
@@ -246,11 +250,11 @@ def _frontier_tallies(row_lists) -> list[dict[int, int]]:
 
 
 def _same_leaves(row_lists) -> None:
-    """The walker and the numpy frontier walk one tree: equal leaf tallies
-    per graph on every bit-rows list of ``row_lists``, counted as one batch,
-    and the batch's profiles equal those counted one graph at a time."""
+    """The walker oracle and the numpy frontier walk one tree: equal leaf
+    tallies per graph on every bit-rows list of ``row_lists``, counted as one
+    batch, and the batch's profiles equal the walker's, expanded in Python."""
     assert _frontier_tallies(row_lists) == [_walk_leaves(rows) for rows in row_lists]
-    assert _tree_profiles(row_lists) == [_tree_profile(rows) for rows in row_lists]
+    assert _tree_profiles(row_lists) == [walker_profile(rows) for rows in row_lists]
 
 
 def test_frontier_matches_walker_on_every_graph_to_five_vertices():
@@ -268,9 +272,8 @@ def test_frontier_matches_walker_on_structured_graphs(n):
 
 @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.7, 0.9])
 def test_frontier_matches_walker_on_random_graphs(p):
-    # the dispatch sends only single graphs with n >= 32 to the frontier; the
-    # verify suites' batches hold smaller ones.  At p = 0.9 the walker takes
-    # about a second per graph at n = 62
+    # one batch of every size from 0 to 62; to 50 at p = 0.9, where the
+    # walker oracle takes about a second per graph at n = 62
     _same_leaves([gnp_graph(n, p, rng_for([47, n, int(p * 10)])).adj for n in range(51 if p == 0.9 else 63)])
 
 
@@ -281,7 +284,7 @@ def test_frontier_counts_mixed_sizes_in_one_batch():
     row_lists = [g.adj for g in graphs] + [complement(g).adj for g in graphs]
     _same_leaves(row_lists)
     profiles = _tree_profiles(row_lists)
-    assert profiles == [_tree_profile(rows) for rows in row_lists]
+    assert profiles == [walker_profile(rows) for rows in row_lists]
     assert [len(prof) for prof in profiles] == [len(rows) + 1 for rows in row_lists]
     for g, prof in zip(graphs, profiles):
         if g.n <= 12:

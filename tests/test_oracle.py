@@ -11,13 +11,10 @@ from ngbounds import (
     ExtremalRecord,
     Graph,
     GraphFamily,
-    clique_profile,
-    count_cliques,
     emit_coloring,
     emit_graph6,
     exhaustive_coloring_extremal,
     exhaustive_extremal,
-    independent_profile,
     merge_records,
     parse_coloring,
     random_pi_exponent,
@@ -27,13 +24,14 @@ from ngbounds import (
     sigma,
 )
 from ngbounds.cli import main
-from ngbounds.graphs import edge_list
+from ngbounds.graphs import complement_rows, edge_list
 from ngbounds.multicolor import certificate_lower_bound
-from ngbounds import oracle
+from ngbounds import counting, multicolor, oracle
 from ngbounds.counting import _popcount64
 from ngbounds.oracle import WITNESS_CAP, _mask_counts, _scan_stripe, _tables, rng_for
 
-from helpers import coloring_product_by_color_loop, edge_count, exponent_ratios, extremal_by_gather
+from helpers import batch_profiles, coloring_product_by_color_loop, edge_count, exponent_ratios, extremal_by_gather
+from helpers import family_clique_counts
 
 
 def test_exhaustive_pi_max_small():
@@ -129,9 +127,10 @@ def test_mask_counts_match_the_counting_engine(t):
         else:
             assert sorted(masks.tolist()) == list(range(shard, 1 << m, shards))
             picks = rng_for([n]).integers(0, len(masks), size=100).tolist()
-        for idx in picks:
-            g = Graph.from_edge_mask(n, int(masks[idx]))
-            kp, ip = clique_profile(g), independent_profile(g)
+        # the picks' clique and independent-set profiles, counted in one batch
+        rows = [Graph.from_edge_mask(n, int(masks[idx])).adj for idx in picks]
+        profiles = batch_profiles(rows + [complement_rows(adj) for adj in rows])
+        for idx, kp, ip in zip(picks, profiles, profiles[len(rows) :]):
             want = (sum(kp), sum(ip)) if t is None else (kp[t], ip[t])
             assert (kcnts[idx], icnts[idx]) == want, (n, masks[idx])
 
@@ -245,6 +244,50 @@ def test_recheck_accepts_an_empty_shard_and_refuses_a_wrong_value():
     assert not replace(coloring, value=coloring.value + 1).recheck()
 
 
+def test_recheck_refuses_one_wrong_witness_at_every_position():
+    # a graph record counts its witnesses and their complements in one batch,
+    # so a wrong witness must be caught wherever it stands among the others
+    records = [
+        exhaustive_extremal(5, "sigma", "min"),
+        exhaustive_extremal(5, "pi", "min"),
+        exhaustive_extremal(5, "sigma_t", "min", t=3),
+        exhaustive_extremal(5, "pi_t", "max", t=2),
+    ]
+    wrong_graph = emit_graph6(Graph.complete(5))  # sigma 38, pi 192, sigma_3 10, pi_2 0
+    coloring = exhaustive_coloring_extremal(3, 3, "product", "min")
+    wrong_coloring = emit_coloring(GraphFamily(3, 3, [0, 0, 0]))  # product 8 * 4 * 4 = 128
+    cases = [(rec, wrong_graph) for rec in records] + [(coloring, wrong_coloring)]
+    for rec, wrong in cases:
+        rec = replace(rec, witnesses=rec.witnesses[:4])
+        assert len(rec.witnesses) == 4 and wrong not in rec.witnesses
+        assert rec.recheck(), rec.quantity
+        for at in range(4):
+            witnesses = rec.witnesses[:at] + (wrong,) + rec.witnesses[at + 1 :]
+            assert not replace(rec, witnesses=witnesses).recheck(), (rec.quantity, at)
+
+
+def test_many_small_graphs_are_counted_in_one_call(monkeypatch):
+    # a family's colors, a graph record's witnesses and an exponent run's
+    # trials each go to the counting engine in one batch with their complements
+    fam = sample_random_coloring(9, 5, rng_for([61]))
+    rec = exhaustive_extremal(5, "pi", "min")
+    want_counts, want_products = fam.clique_counts(), random_pi_exponent(20, 20, 1)
+    real, calls = counting._tree_profiles, []
+
+    def counted(row_lists):
+        calls.append(len(row_lists))
+        return real(row_lists)
+
+    for module in (counting, multicolor, oracle):
+        monkeypatch.setattr(module, "_tree_profiles", counted)
+    assert GraphFamily(9, 5, fam.colors).clique_counts() == want_counts
+    assert calls == [sum(any(g.adj) for g in fam.members)] == [5]
+    assert rec.recheck() and len(rec.witnesses) == 12
+    assert calls[1:] == [24]
+    assert random_pi_exponent(20, 20, 1) == want_products
+    assert calls[2:] == [40]
+
+
 def test_coloring_extremal_sum():
     rec = exhaustive_coloring_extremal(4, 3, "sum", "max")
     assert rec.value == 26
@@ -270,14 +313,14 @@ def test_coloring_extremal_product():
 
 def _loop_coloring_records(n, r):
     """The per-coloring loop the table scan replaced, kept as its oracle: one
-    family and its r clique counts per coloring, in code order.  One pass fills
-    the records of both quantities and both directions."""
+    family and its r clique counts per coloring, in code order, the members of
+    many families counted in one batch.  One pass fills the records of both
+    quantities and both directions."""
     state = {(q, d): [None, [], 0] for q in ("sum", "product") for d in ("min", "max")}
     # code order: slot 0 is the least significant base-r digit, so reverse
     # product's tuples, whose last entry varies fastest
-    for digits in product(range(r), repeat=math.comb(n, 2)):
-        fam = GraphFamily(n, r, digits[::-1])
-        counts = [count_cliques(g) for g in fam.members]
+    fams = (GraphFamily(n, r, digits[::-1]) for digits in product(range(r), repeat=math.comb(n, 2)))
+    for fam, counts in family_clique_counts(fams):
         vals = {"sum": sum(counts), "product": math.prod(counts)}
         for (quantity, direction), rec in state.items():
             val = vals[quantity]
