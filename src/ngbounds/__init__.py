@@ -20,6 +20,7 @@ from .counting import (
     independent_profile,
     pi,
     pi_t,
+    profile_pair,
     sigma,
     sigma_t,
 )

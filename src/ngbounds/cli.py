@@ -25,7 +25,7 @@ from math import comb, factorial, log, log2, prod
 from statistics import median
 
 from .compression import compress_to_threshold
-from .counting import clique_profile, independent_profile, pi
+from .counting import pi, profile_pair
 from .graphs import Graph6Error, parse_graph6
 from .multicolor import (
     ColoringFormatError,
@@ -75,7 +75,7 @@ def cmd_count(args) -> int:
     for t in sizes:
         if not 0 <= t <= g.n:
             raise ValueError(f"size t={t} outside [0, {g.n}]")
-    kp, ip = clique_profile(g), independent_profile(g)
+    kp, ip = profile_pair(g)
     k, i = sum(kp), sum(ip)
     print(f"n {g.n}")
     print(f"k {k}")
@@ -151,7 +151,7 @@ def cmd_bounds(args) -> int:
         else:
             print(f"construction_floor(r={r}) {2 ** n * (n / blocks) ** blocks:.6e}")
     if g is not None:
-        kp, ip = clique_profile(g), independent_profile(g)
+        kp, ip = profile_pair(g)
         print(f"instance_pi {sum(kp) * sum(ip)}")
         print(f"instance_pi_{t} {kp[t] * ip[t] if t <= n else 0}")
     return 0

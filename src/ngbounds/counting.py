@@ -11,10 +11,10 @@ each keyed by its graph.  A step's arrays hold at most 2,048 x 64 (node,
 vertex) pairs, and the stack at most one block of children per tree level;
 one profile of the complement of C62 peaks at 3.0 MB of traced
 allocations.  Each step costs a few dozen numpy calls however few nodes it
-holds, so a caller that counts many small graphs hands them over in one
-batch, or in batches of about ``GROUP_ROWS`` rows when their number has no
-bound.  Counting takes the rows alone, so ``independent_profile`` counts
-on the complemented rows and builds no complement ``Graph``.
+holds, so callers hand any iterable of bit-rows lists to one lazy stream,
+``_profile_stream``, which counts up to ``_GROUP_ROWS`` rows a call.
+Counting takes the rows alone, so ``_profile_pairs`` counts each list with
+its complemented rows and builds no complement ``Graph``.
 
 Counts are Python ints (arbitrary precision): k(K_62) = 2^62 already
 overflows 64 bits once multiplied into the product quantity.
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import chain
-from math import comb
+from math import comb, prod
 from typing import Optional
 
 import numpy as np
@@ -45,7 +45,7 @@ _SLOT_BY_SUM[[2 * e + s for s, e in _LEAF_SETS]] = range(len(_LEAF_SETS))
 # A leaf key is 512 holds + 8 pivots + slot < 2^15; a frontier code adds 2^15 graph.
 _HOLD, _PIVOT, _GRAPH_SHIFT = 512, 8, 15
 _CHUNK = 2048  # tree nodes per numpy step: bounds the memory of one step
-GROUP_ROWS = 1024  # rows, complements aside, that a caller of unbounded batches counts in one call
+_GROUP_ROWS = 8192  # rows of one frontier call of _profile_stream, complements included
 _BELOW = np.array([(1 << v) - 1 for v in range(64)], dtype="<u8")  # the vertices below v
 
 
@@ -182,6 +182,35 @@ def _tree_profiles(row_lists) -> list[tuple[int, ...]]:
     return [tuple(sizes[: len(rows) + 1]) for sizes, rows in zip(by_size.tolist(), row_lists)]
 
 
+def _profile_stream(row_lists):
+    """Yield the clique profile of each bit-rows list of the iterable
+    ``row_lists``, in order, reading it lazily: a ``_tree_profiles`` call
+    takes lists until the next one would pass ``_GROUP_ROWS`` rows, so it
+    holds at most that many rows, or one larger list alone."""
+    group, held = [], 0
+    for rows in row_lists:
+        if group and held + len(rows) > _GROUP_ROWS:
+            yield from _tree_profiles(group)
+            group, held = [], 0
+        group.append(rows)
+        held += len(rows)
+    if group:
+        yield from _tree_profiles(group)
+
+
+def _profile_pairs(row_lists):
+    """Yield (clique profile, independent-set profile) of each bit-rows list
+    of the iterable ``row_lists``, in order, from one stream over the lists
+    and their complements."""
+    profiles = _profile_stream(chain.from_iterable((rows, complement_rows(rows)) for rows in row_lists))
+    return zip(profiles, profiles)  # one iterator twice: each list's profile, then its complement's
+
+
+def profile_pair(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(clique_profile(g), independent_profile(g)), counted in one call."""
+    return next(_profile_pairs([g.adj]))
+
+
 def clique_profile(g: Graph) -> tuple[int, ...]:
     """Entry t counts the t-vertex cliques, from the succinct clique tree.
 
@@ -218,12 +247,12 @@ def count_independent_sets(g: Graph) -> int:
 
 def sigma(g: Graph) -> int:
     """Clique count plus independent-set count."""
-    return count_cliques(g) + count_independent_sets(g)
+    return sum(map(sum, profile_pair(g)))
 
 
 def pi(g: Graph) -> int:
     """Clique count times independent-set count."""
-    return count_cliques(g) * count_independent_sets(g)
+    return prod(map(sum, profile_pair(g)))
 
 
 def _check_t(g: Graph, t: int) -> None:
@@ -234,10 +263,10 @@ def _check_t(g: Graph, t: int) -> None:
 def sigma_t(g: Graph, t: int) -> int:
     """Number of size-t cliques plus number of size-t independent sets."""
     _check_t(g, t)
-    return clique_profile(g)[t] + independent_profile(g)[t]
+    return sum(p[t] for p in profile_pair(g))
 
 
 def pi_t(g: Graph, t: int) -> int:
     """Number of size-t cliques times number of size-t independent sets."""
     _check_t(g, t)
-    return clique_profile(g)[t] * independent_profile(g)[t]
+    return prod(p[t] for p in profile_pair(g))

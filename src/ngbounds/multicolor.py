@@ -25,9 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import tee
 from math import comb, factorial, prod
 
-from .counting import _tree_profiles
+from .counting import _profile_stream
 from .graphs import MAX_VERTICES, Graph, edge_list, edge_slot, iter_bits
 
 MAX_COLORS = 1 << 16  # a family builds one graph per color
@@ -80,13 +81,21 @@ class GraphFamily:
         """k(G_i) for each color i.  A color with no edge has the n + 1
         cliques of the edgeless graph, so only the colors in use are counted,
         all in one call."""
-        counts = iter(map(sum, _tree_profiles([g.adj for g in self.members if any(g.adj)])))
-        return [next(counts) if any(g.adj) else self.n + 1 for g in self.members]
+        return next(_counted_families([self]))[1]
 
     @property
     def covers_all_edges(self) -> bool:
         """True iff every vertex pair is colored (a total coloring)."""
         return None not in self.colors
+
+
+def _counted_families(fams):
+    """Yield each family of the iterable ``fams`` with its ``clique_counts()``,
+    in order, from one counting stream over the members in use."""
+    fams, members = tee(fams)
+    counts = map(sum, _profile_stream(g.adj for fam in members for g in fam.members if any(g.adj)))
+    for fam in fams:
+        yield fam, [next(counts) if any(g.adj) else fam.n + 1 for g in fam.members]
 
 
 def parse_coloring(text: str) -> GraphFamily:

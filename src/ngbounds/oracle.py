@@ -35,10 +35,9 @@ from typing import Optional
 
 import numpy as np
 
-from .counting import GROUP_ROWS, _check_t, _popcount64, _tree_profiles
-from .graphs import MAX_VERTICES, Graph, complement_rows, edge_list, emit_graph6, iter_bits, parse_graph6
-from .multicolor import MAX_COLORS, GraphFamily, Tournament, emit_coloring, parse_coloring
-from .multicolor import product_clique_counts, sum_clique_counts
+from .counting import _check_t, _popcount64, _profile_pairs
+from .graphs import MAX_VERTICES, Graph, edge_list, emit_graph6, iter_bits, parse_graph6
+from .multicolor import MAX_COLORS, GraphFamily, Tournament, _counted_families, emit_coloring, parse_coloring
 
 WITNESS_CAP = 100
 _TOTAL_SCAN_MAX = 7  # 2^21 graphs
@@ -49,8 +48,8 @@ _STRIPES = 2  # threads per graph-scan shard: the reference machine has nproc = 
 
 # name -> the numpy ufunc that combines a graph's clique and independent counts
 _GRAPH_QUANTITIES = {"sigma": np.add, "pi": np.multiply, "sigma_t": np.add, "pi_t": np.multiply}
-# name -> (value of one parsed witness, the numpy ufunc that combines its per-color counts)
-_COLORING_QUANTITIES = {"sum": (sum_clique_counts, np.add), "product": (product_clique_counts, np.multiply)}
+# name -> (a coloring's value from its per-color clique counts, the numpy ufunc that combines them)
+_COLORING_QUANTITIES = {"sum": (sum, np.add), "product": (prod, np.multiply)}
 
 
 def rng_for(seed_ints) -> np.random.Generator:
@@ -72,16 +71,16 @@ class ExtremalRecord:
     r: Optional[int] = None  # the color count of a coloring scan, None for a graph scan
 
     def recheck(self) -> bool:
-        """Re-evaluate every stored witness from its serialized form.  A graph
-        record counts all its witnesses and their complements in one call."""
+        """Re-evaluate every stored witness from its serialized form, all of
+        them (and a graph's complement) in one counting stream."""
         if self.value is None:
             return not self.witnesses
         if self.r is not None:
             evaluate = _COLORING_QUANTITIES[self.quantity][0]
-            return all(evaluate(parse_coloring(blob)) == self.value for blob in self.witnesses)
+            fams = _counted_families(map(parse_coloring, self.witnesses))
+            return all(evaluate(counts) == self.value for _, counts in fams)
         graphs = [parse_graph6(blob) for blob in self.witnesses]
-        profiles = _tree_profiles([g.adj for g in graphs] + [complement_rows(g.adj) for g in graphs])
-        for g, kp, ip in zip(graphs, profiles, profiles[len(graphs) :]):
+        for g, (kp, ip) in zip(graphs, _profile_pairs(g.adj for g in graphs)):
             if self.t is None:
                 k, i = sum(kp), sum(ip)
             else:
@@ -318,7 +317,7 @@ def exhaustive_coloring_extremal(n: int, r: int, quantity: str, direction: str) 
     evaluate, combine = _COLORING_QUANTITIES[quantity]
     if r**m == 1:
         fam = GraphFamily(n, r, [0] * m)
-        return ExtremalRecord(n, quantity, direction, None, evaluate(fam), (emit_coloring(fam),), 1, r)
+        return ExtremalRecord(n, quantity, direction, None, evaluate(fam.clique_counts()), (emit_coloring(fam),), 1, r)
     # one shard: every block is whole rows, so the blocks run in mask order
     kcnt = np.concatenate([k.ravel().astype(np.int64) for _, _, k, _ in _mask_counts(*_tables(n, None), 1, 0)])
     low = m // 2
@@ -395,16 +394,12 @@ def random_pi_exponent(n: int, trials: int, seed: int) -> tuple[int, ...]:
     command prints each ratio log(pi) / (log n * log2 n); no threshold is
     asserted, the asymptotic claim is not checkable at desk scale.  Every
     2 <= n <= 62 is allowed: random graphs have only small cliques, so exact
-    counting stays fast up to the 62-vertex cap.
+    counting stays fast up to the 62-vertex cap.  Trials are drawn lazily and
+    counted with their complements in one stream, so ``trials`` needs no cap.
     """
     if not 2 <= n <= MAX_VERTICES:
         raise ValueError(f"exponent sampling needs 2 <= n <= {MAX_VERTICES}, got {n}")
     if trials < 1:
         raise ValueError("need at least one trial")
-    products: list[int] = []
-    step = max(1, GROUP_ROWS // n)  # trials counted in one call, with their complements
-    for first in range(0, trials, step):
-        rows = [sample_random_graph(n, rng_for([seed, i])).adj for i in range(first, min(first + step, trials))]
-        profiles = _tree_profiles(rows + [complement_rows(adj) for adj in rows])
-        products += (sum(kp) * sum(ip) for kp, ip in zip(profiles, profiles[len(rows) :]))
-    return tuple(products)
+    graphs = (sample_random_graph(n, rng_for([seed, i])).adj for i in range(trials))
+    return tuple(sum(kp) * sum(ip) for kp, ip in _profile_pairs(graphs))

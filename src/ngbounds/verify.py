@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from itertools import islice, tee
 from math import comb, factorial, prod
 
 from .compression import _move, compress_to_threshold
-from .counting import GROUP_ROWS, _tree_profiles
+from .counting import _profile_pairs
 from .graphs import MAX_VERTICES, Graph, complement_rows, emit_graph6
 from .multicolor import (
     GraphFamily,
+    _counted_families,
     certificate_length,
     certificate_lower_bound,
     construction_value,
@@ -27,7 +29,6 @@ from .multicolor import (
     is_good_sequence,
     multicolor_upper_bound,
     pigeonhole_sequence,
-    product_clique_counts,
     tournament_construction,
 )
 from .oracle import _TOTAL_SCAN_MAX, exhaustive_coloring_extremal, exhaustive_extremal
@@ -66,30 +67,12 @@ def _check(suite: str, name: str, value: int, lo: int, hi: int | None = None) ->
 
 def _counted(draws):
     """Yield each (record, row_lists) of the iterable ``draws`` as (record,
-    the clique and independent-set counts of every size of each of its row
-    lists), in order.  Draws are counted in groups, one ``_tree_profiles``
-    call per group on its row lists and their complements; a group closes
-    once its row lists hold ``GROUP_ROWS`` rows, so it holds at most that
-    many rows plus those of its last draw."""
-    group: list = []
-    held = 0
-    for record, row_lists in draws:
-        group.append((record, row_lists))
-        held += sum(map(len, row_lists))
-        if held >= GROUP_ROWS:
-            yield from _count_group(group)
-            group, held = [], 0
-    yield from _count_group(group)
-
-
-def _count_group(group):
-    row_lists = [rows for _, lists in group for rows in lists]
-    profiles = _tree_profiles(row_lists + [complement_rows(rows) for rows in row_lists])
-    pairs = list(zip(profiles[: len(row_lists)], profiles[len(row_lists) :]))
-    at = 0
-    for record, lists in group:
-        yield record, pairs[at : at + len(lists)]
-        at += len(lists)
+    the clique and independent-set profiles of each of its row lists), in
+    order, from one ``_profile_pairs`` stream over every draw's lists."""
+    records, lists = tee(draws)
+    pairs = _profile_pairs(rows for _, row_lists in lists for rows in row_lists)
+    for record, row_lists in records:
+        yield record, list(islice(pairs, len(row_lists)))
 
 
 def _pointwise_le(lo: tuple[int, ...], hi: tuple[int, ...]) -> bool:
@@ -103,14 +86,11 @@ def verify_compression(trials: int = 10000, n_max: int = 12, seed: int = 7) -> R
     revalidated per step.
 
     A trial's graph, its once-moved graph and every pivot step are counted
-    with a group of trials (see ``_counted``), before its checks run in
-    trial order; counting a trace before the first check passes costs work
-    only on a trial that fails it.  At n_max = 12 a group is about 25 trials
-    and 290 row lists with their complements, and 1,200 trials peak at
-    0.5 MB of traced allocations, against 0.14 MB for one graph at a time.
-    At n_max = 62 a trial's trace of about 300 pivots outgrows ``GROUP_ROWS``
-    alone, so each such trial is its own group, held whole: 20 trials peak
-    at 6.5 MB of traced allocations, against 1.4 MB one graph at a time."""
+    in one stream over all trials (see ``_counted``), which runs at most one
+    frontier call ahead of the checks; counting a trace before the first
+    check passes costs work only on a trial that fails it.  1,200 trials at
+    n_max = 12 peak at 1.5 MB of traced allocations, and 20 trials at
+    n_max = 62 at 5.8 MB, against 0.3 and 3.2 MB with one list a call."""
     _check("compression", "n_max", n_max, 2, MAX_VERTICES)
     _check("compression", "trials", trials, 1)
 
@@ -170,8 +150,7 @@ def verify_compression(trials: int = 10000, n_max: int = 12, seed: int = 7) -> R
 def verify_thresholds(trials: int = 1000, n_max: int = 16, seed: int = 11) -> Report:
     """Random codes: build/recognize round trip, complement-code identity,
     and the closed-form size counts of the recognized walk against the
-    counting oracle, which counts a group of trials' graphs at once (see
-    ``_counted``)."""
+    counting oracle, streamed over all trials (see ``_counted``)."""
     _check("thresholds", "n_max", n_max, 1, MAX_VERTICES)
     _check("thresholds", "trials", trials, 1)
 
@@ -261,14 +240,15 @@ def verify_multicolor(trials: int = 100, seed: int = 23) -> Report:
     _check("multicolor", "trials", trials, 1)
     rep = Report("multicolor")
 
-    for trial in range(trials):
+    def coloring(trial: int):
         rng = rng_for([seed, trial])
-        n = int(rng.integers(2, 9))
-        r = int(rng.integers(2, 4))
-        q = int(rng.integers(0, min(3, n) + 1))
-        fam = sample_random_coloring(n, r, rng)
+        n, r = int(rng.integers(2, 9)), int(rng.integers(2, 4))
+        return int(rng.integers(0, min(3, n) + 1)), sample_random_coloring(n, r, rng)  # q, then the coloring
+
+    draws, fams = tee(map(coloring, range(trials)))
+    for (q, _), (fam, counts) in zip(draws, _counted_families(fam for _, fam in fams)):
+        n, r = fam.n, fam.r
         blob = emit_coloring(fam)
-        counts = fam.clique_counts()
         product = prod(counts)
 
         low = prod(pigeonhole_sequence(n, r, q))
@@ -303,26 +283,28 @@ def verify_multicolor(trials: int = 100, seed: int = 23) -> Report:
         rep.fail(f"expected exactly {r} extremal colorings, found {hits}")
     rep.note(f"all {r ** comb(n, 2)} total 3-colorings of 4 vertices: sum <= {cap}, {hits} extremal")
 
-    for trial in range(trials):
-        rng = rng_for([seed, 10_000 + trial])
-        n = int(rng.integers(1, 7))
-        fam = sample_random_coloring(n, 3, rng, partial=True)
+    rngs = (rng_for([seed, 10_000 + trial]) for trial in range(trials))
+    partials = (sample_random_coloring(int(rng.integers(1, 7)), 3, rng, partial=True) for rng in rngs)
+    for fam, counts in _counted_families(partials):
+        n = fam.n
         blob = emit_coloring(fam)
         cover = count_covering_tuples(fam)
         cap = (4 * fam.r - 2) ** (fam.r * (fam.r - 1)) * n ** comb(fam.r, 2)
         if cover > cap:
             rep.fail(f"covering tuples {cover} exceed {cap} at n={n}", blob)
-        if product_clique_counts(fam) > multicolor_upper_bound(n, fam.r):
+        if prod(counts) > multicolor_upper_bound(n, fam.r):
             rep.fail(f"product exceeds the closed-form bound at n={n}", blob)
     rep.note(f"{trials} sampled partial 3-colorings, n <= 6: covering and product bounds")
 
-    for r in range(2, 7):
-        for k in range(5):
-            n = int(rng_for([seed, 777, r, k]).integers(1, 13))
-            tour = random_tournament(r, rng_for([seed + 31 * r + k]))
-            fam = tournament_construction(n, tour)  # constructor validates edge-disjointness
-            if product_clique_counts(fam) < construction_value(n, tour):
-                rep.fail(f"tournament product below its floor at n={n} r={r}", emit_coloring(fam))
+    def construction(r: int, k: int):
+        tour = random_tournament(r, rng_for([seed + 31 * r + k]))
+        n = int(rng_for([seed, 777, r, k]).integers(1, 13))
+        return tour, tournament_construction(n, tour)  # the constructor validates edge-disjointness
+
+    draws, fams = tee(construction(r, k) for r in range(2, 7) for k in range(5))
+    for (tour, _), (fam, counts) in zip(draws, _counted_families(fam for _, fam in fams)):
+        if prod(counts) < construction_value(fam.n, tour):
+            rep.fail(f"tournament product below its floor at n={fam.n} r={fam.r}", emit_coloring(fam))
     rep.note("tournament constructions r in [2,6], random tournaments: disjoint, product floor holds")
     return rep
 

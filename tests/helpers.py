@@ -3,14 +3,14 @@ certificates, the counting oracles, and the scans the fast paths replaced,
 shared across test modules."""
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, islice, permutations
+from itertools import combinations_with_replacement, permutations
 from math import comb, factorial, log, log2
 
 import numpy as np
 
 from ngbounds import BorderPath, ExtremalRecord, Graph, GraphFamily, build, emit_coloring, emit_graph6, one_turn_value
-from ngbounds import sample_random_graph
-from ngbounds.counting import _HOLD, _leaf_poly, _popcount64, _tree_profiles
+from ngbounds import counting, sample_random_graph
+from ngbounds.counting import _HOLD, _leaf_poly, _popcount64, _profile_pairs
 from ngbounds.graphs import complement_rows
 from ngbounds.oracle import _GRAPH_QUANTITIES, WITNESS_CAP, _mask_counts, _tables
 
@@ -106,24 +106,17 @@ def walker_profile(rows) -> tuple[int, ...]:
     return tuple(by_size)
 
 
-def batch_profiles(row_lists, chunk: int = 4096) -> list[tuple[int, ...]]:
-    """The clique profile of each bit-rows list of ``row_lists``, counted
-    through ``_tree_profiles`` ``chunk`` lists a call, as the library counts
-    its own batches: one call per graph would cost a batch's fixed numpy
-    overhead each time."""
-    row_lists = list(row_lists)
-    return [prof for lo in range(0, len(row_lists), chunk) for prof in _tree_profiles(row_lists[lo : lo + chunk])]
+def frontier_calls(monkeypatch) -> list[list[int]]:
+    """Patch the numpy frontier to record the sizes of the bit-rows lists of
+    each call it makes, in the list returned."""
+    real, calls = counting._tree_profiles, []
 
+    def counted(row_lists):
+        calls.append(list(map(len, row_lists)))
+        return real(row_lists)
 
-def family_clique_counts(fams, chunk: int = 4096):
-    """Yield each family of the iterable ``fams`` with the clique counts k(G_i)
-    of all its members, in order; the members of ``chunk`` families at a
-    time are counted in one batch."""
-    fams = iter(fams)
-    while part := list(islice(fams, chunk)):
-        profiles = iter(batch_profiles([g.adj for fam in part for g in fam.members]))
-        for fam in part:
-            yield fam, [sum(next(profiles)) for _ in fam.members]
+    monkeypatch.setattr(counting, "_tree_profiles", counted)
+    return calls
 
 
 def profile_by_scan(g: Graph) -> tuple[int, ...]:
@@ -346,8 +339,7 @@ def code_max_by_enumeration(n: int, t: int):
     argmax = []
     codes = ["".join("+" if (bits >> i) & 1 else "-" for i in range(n - 1)) for bits in range(1 << max(0, n - 1))]
     rows = [build(walk(symbols[::-1])).adj for symbols in codes]
-    profiles = batch_profiles(rows + [complement_rows(adj) for adj in rows])
-    for symbols, kp, ip in zip(codes, profiles, profiles[len(rows) :]):
+    for symbols, (kp, ip) in zip(codes, _profile_pairs(rows), strict=True):
         val = kp[t] * ip[t]
         if val > best:
             best, argmax, one_turn = val, [], False

@@ -46,7 +46,7 @@ from ngbounds import (
 from ngbounds.cli import main
 from ngbounds.counting import count_cliques
 from ngbounds.graphs import edge_list
-from ngbounds.multicolor import count_covering_tuples
+from ngbounds.multicolor import _counted_families, count_covering_tuples
 from ngbounds.oracle import rng_for
 from ngbounds.threshold import build, closed_form_counts, extremal_one_turn_codes
 from ngbounds.verify import (
@@ -59,7 +59,6 @@ from ngbounds.verify import (
 from helpers import (
     conjugate,
     exponent_ratios,
-    family_clique_counts,
     one_turn_slope_identity,
     packed_pair,
     poly_at,
@@ -296,7 +295,7 @@ def test_acceptance_11_covering_tuple_bounds():
         colorings = iproduct(range(3), repeat=len(edge_list(n)))
         fams = (GraphFamily(n, 2, [c - 1 if c else None for c in colors]) for colors in colorings)
         # each family's product of clique counts, its members counted in batches
-        for fam, counts in family_clique_counts(fams):
+        for fam, counts in _counted_families(fams):
             if count_covering_tuples(fam) > cap_cover or prod(counts) > cap_prod:
                 ok = False
     fams = []
@@ -305,7 +304,7 @@ def test_acceptance_11_covering_tuple_bounds():
         n = int(rng.integers(1, 7))
         draws = [int(rng.integers(0, 4)) for _ in edge_list(n)]
         fams.append(GraphFamily(n, 3, [c - 1 if c else None for c in draws]))
-    for fam, counts in family_clique_counts(fams):
+    for fam, counts in _counted_families(fams):
         n = fam.n
         cap_cover = (4 * 3 - 2) ** (3 * 2) * n ** comb(3, 2)
         if count_covering_tuples(fam) > cap_cover:

@@ -14,7 +14,7 @@ from ngbounds import (
     parse_graph6,
     pi,
 )
-from ngbounds import verify
+from ngbounds import counting, verify
 from ngbounds.compression import _move, _next_pivot
 from ngbounds.graphs import emit_graph6
 from ngbounds.oracle import rng_for, sample_random_graph
@@ -241,9 +241,9 @@ def _suite_trial(want):
 
 
 def _lower_counts_on(monkeypatch, *faulty):
-    """Make the suite's batch counting engine report one vertex fewer on each
-    bit-rows tuple in ``faulty``, wherever it stands in a batch."""
-    real = verify._tree_profiles
+    """Make the counting engine report one vertex fewer on each bit-rows
+    tuple in ``faulty``, wherever it stands in a batch."""
+    real = counting._tree_profiles
 
     def lowered(row_lists):
         return [
@@ -251,7 +251,7 @@ def _lower_counts_on(monkeypatch, *faulty):
             for rows, prof in zip(row_lists, real(row_lists))
         ]
 
-    monkeypatch.setattr(verify, "_tree_profiles", lowered)
+    monkeypatch.setattr(counting, "_tree_profiles", lowered)
 
 
 def _assert_one_violation(seed, template, g):
@@ -284,7 +284,7 @@ def test_compression_suite_reports_a_pivot_list_that_does_not_replay(monkeypatch
     _assert_one_violation(seed, "replaying the pivot list of {} does not reproduce the output", g)
 
 
-@pytest.mark.parametrize("group_rows", [1, 40, verify.GROUP_ROWS])
+@pytest.mark.parametrize("group_rows", [1, 40, counting._GROUP_ROWS])
 def test_compression_suite_reports_faults_in_two_trials_in_trial_order(monkeypatch, group_rows):
     # trial i fails the one-compression check and would also fail along its
     # trace; trial j > i fails along its trace.  A group of 1 row counts each
@@ -301,7 +301,7 @@ def test_compression_suite_reports_faults_in_two_trials_in_trial_order(monkeypat
     i = next(t for t in range(trials) if squeezed[t] != draws[t][0] and trace_fault_shows(t))
     j = next(t for t in range(i + 1, trials) if trace_fault_shows(t))
     (g_i, x, y), g_j = draws[i], draws[j][0]
-    monkeypatch.setattr(verify, "GROUP_ROWS", group_rows)
+    monkeypatch.setattr(counting, "_GROUP_ROWS", group_rows)
     assert verify.verify_compression(trials=trials, n_max=12, seed=seed).passed
     _lower_counts_on(monkeypatch, squeezed[i].adj, finals[i][0].adj, finals[j][0].adj)
     rep = verify.verify_compression(trials=trials, n_max=12, seed=seed)

@@ -13,12 +13,12 @@ from ngbounds import (
     sigma,
     sigma_t,
 )
-from ngbounds.counting import _frontier_leaves, _tree_profiles
-from ngbounds.graphs import complement_rows
+from ngbounds import counting
+from ngbounds.counting import _frontier_leaves, _profile_pairs, _profile_stream, _tree_profiles
 from ngbounds.oracle import rng_for
 from ngbounds.threshold import closed_form_counts
 
-from helpers import _walk_leaves, batch_profiles, complement, cycle_graph, gnp_graph, path_graph, profile_by_scan
+from helpers import _walk_leaves, complement, cycle_graph, frontier_calls, gnp_graph, path_graph, profile_by_scan
 from helpers import random_graph, walk, walker_profile
 
 
@@ -103,13 +103,12 @@ def test_complement_duality():
 
 def test_sum_cap_small_exhaustive():
     # every graph on up to 5 vertices: sum <= 2^n + n + 1, equality only complete/empty;
-    # each n's graphs and complements are counted in one batch
+    # each n's graphs and complements are counted in one stream
     for n in range(1, 6):
         cap = 2**n + n + 1
         full = 2 ** (n * (n - 1) // 2)
         rows = [Graph.from_edge_mask(n, mask).adj for mask in range(full)]
-        profiles = batch_profiles(rows + [complement_rows(adj) for adj in rows])
-        for mask, (kp, ip) in enumerate(zip(profiles, profiles[full:])):
+        for mask, (kp, ip) in enumerate(_profile_pairs(rows)):
             val = sum(kp) + sum(ip)
             assert val <= cap
             if val == cap:
@@ -188,11 +187,10 @@ def test_engine_matches_subset_scan_on_every_graph_to_six_vertices():
         graphs = [Graph.from_edge_mask(n, mask) for mask in range(full + 1)]
         scans = [profile_by_scan(g) for g in graphs]
         # clique and independent-set profiles, as clique_profile and
-        # independent_profile count them, in one batch per n
-        profiles = batch_profiles([g.adj for g in graphs] + [complement_rows(g.adj) for g in graphs])
-        for mask, scan in enumerate(scans):
-            assert profiles[mask] == scan
-            assert profiles[full + 1 + mask] == scans[full ^ mask]
+        # independent_profile count them, in one stream per n
+        for mask, (scan, (kp, ip)) in enumerate(zip(scans, _profile_pairs(g.adj for g in graphs), strict=True)):
+            assert kp == scan
+            assert ip == scans[full ^ mask]
 
 
 def test_engine_matches_memoized_recursion_on_dense_graphs():
@@ -298,6 +296,57 @@ def test_frontier_counts_mixed_sizes_in_one_batch():
 def test_frontier_counts_an_empty_batch():
     assert _tree_profiles([]) == []
     assert [a.tolist() for a in _frontier_leaves([])] == [[], [], []]
+
+
+def test_profile_stream_reads_one_group_and_one_list_ahead(monkeypatch):
+    monkeypatch.setattr(counting, "_GROUP_ROWS", 40)
+    rng = rng_for([71])
+    graphs = [random_graph(int(rng.integers(0, 17)), rng) for _ in range(60)]
+    pulled: list[int] = []  # the sizes of the lists read so far
+
+    def row_lists():
+        for g in graphs:
+            pulled.append(g.n)
+            yield g.adj
+
+    for done, prof in enumerate(_profile_stream(row_lists()), start=1):
+        assert prof == clique_profile(graphs[done - 1])
+        ahead = pulled[done:]  # read but not yet yielded: the rest of a group, and the list that closed it
+        assert sum(ahead[:-1]) <= 40, done
+    assert done == len(pulled) == 60
+
+
+def test_profile_stream_counts_an_oversize_list_alone(monkeypatch):
+    graphs = [path_graph(n) for n in (5, 30, 41, 3, 40, 1)]
+    want = [clique_profile(g) for g in graphs]
+    monkeypatch.setattr(counting, "_GROUP_ROWS", 40)
+    calls = frontier_calls(monkeypatch)
+    assert list(_profile_stream(g.adj for g in graphs)) == want
+    assert calls == [[5, 30], [41], [3], [40], [1]]
+
+
+def test_profile_stream_of_no_lists_yields_nothing(monkeypatch):
+    calls = frontier_calls(monkeypatch)
+    assert list(_profile_stream(iter([]))) == []
+    assert list(_profile_pairs([])) == []
+    assert calls == []
+
+
+@pytest.mark.parametrize("group_rows", [100, counting._GROUP_ROWS])
+def test_profile_stream_matches_one_call_on_mixed_sizes(monkeypatch, group_rows):
+    # sizes 0 to 62 in a shuffled order: split into groups of at most 100
+    # rows, or all in one, the stream and its pairs read what one call does
+    rng = rng_for([73])
+    graphs = [gnp_graph(int(n), 0.5, rng) for n in rng.permutation(63)]
+    profiles = _tree_profiles([g.adj for g in graphs])
+    complements = _tree_profiles([complement(g).adj for g in graphs])
+    monkeypatch.setattr(counting, "_GROUP_ROWS", group_rows)
+    calls = frontier_calls(monkeypatch)
+    assert list(_profile_stream(g.adj for g in graphs)) == profiles
+    rows = [sum(sizes) for sizes in calls]
+    assert max(rows) <= group_rows and sum(rows) == 63 * 62 // 2
+    assert (len(calls) == 1) == (group_rows >= sum(rows))
+    assert list(_profile_pairs(g.adj for g in graphs)) == list(zip(profiles, complements))
 
 
 def test_frontier_matches_walker_without_bitwise_count(monkeypatch):

@@ -24,14 +24,14 @@ from ngbounds import (
     sigma,
 )
 from ngbounds.cli import main
-from ngbounds.graphs import complement_rows, edge_list
-from ngbounds.multicolor import certificate_lower_bound
-from ngbounds import counting, multicolor, oracle
-from ngbounds.counting import _popcount64
+from ngbounds.graphs import edge_list
+from ngbounds.multicolor import _counted_families, certificate_lower_bound
+from ngbounds import counting, oracle
+from ngbounds.counting import _popcount64, _profile_pairs, pi, pi_t, profile_pair, sigma_t
 from ngbounds.oracle import WITNESS_CAP, _mask_counts, _scan_stripe, _tables, rng_for
+from ngbounds.verify import verify_multicolor
 
-from helpers import batch_profiles, coloring_product_by_color_loop, edge_count, exponent_ratios, extremal_by_gather
-from helpers import family_clique_counts
+from helpers import coloring_product_by_color_loop, edge_count, exponent_ratios, extremal_by_gather, frontier_calls
 
 
 def test_exhaustive_pi_max_small():
@@ -129,8 +129,7 @@ def test_mask_counts_match_the_counting_engine(t):
             picks = rng_for([n]).integers(0, len(masks), size=100).tolist()
         # the picks' clique and independent-set profiles, counted in one batch
         rows = [Graph.from_edge_mask(n, int(masks[idx])).adj for idx in picks]
-        profiles = batch_profiles(rows + [complement_rows(adj) for adj in rows])
-        for idx, kp, ip in zip(picks, profiles, profiles[len(rows) :]):
+        for idx, (kp, ip) in zip(picks, _profile_pairs(rows), strict=True):
             want = (sum(kp), sum(ip)) if t is None else (kp[t], ip[t])
             assert (kcnts[idx], icnts[idx]) == want, (n, masks[idx])
 
@@ -266,26 +265,44 @@ def test_recheck_refuses_one_wrong_witness_at_every_position():
             assert not replace(rec, witnesses=witnesses).recheck(), (rec.quantity, at)
 
 
-def test_many_small_graphs_are_counted_in_one_call(monkeypatch):
+def test_many_small_graphs_are_counted_in_one_call(monkeypatch, capsys):
     # a family's colors, a graph record's witnesses and an exponent run's
-    # trials each go to the counting engine in one batch with their complements
+    # trials each go to the counting engine in one batch with their
+    # complements, and a graph's quantities count it with its complement
     fam = sample_random_coloring(9, 5, rng_for([61]))
     rec = exhaustive_extremal(5, "pi", "min")
+    g = sample_random_graph(12, rng_for([62]))
     want_counts, want_products = fam.clique_counts(), random_pi_exponent(20, 20, 1)
-    real, calls = counting._tree_profiles, []
+    want_values = [sigma(g), pi(g), sigma_t(g, 3), pi_t(g, 3), profile_pair(g)]
+    want_lines = verify_multicolor().lines
+    calls = frontier_calls(monkeypatch)
 
-    def counted(row_lists):
-        calls.append(len(row_lists))
-        return real(row_lists)
+    def lists_a_call():
+        got = [len(sizes) for sizes in calls]
+        calls.clear()
+        return got
 
-    for module in (counting, multicolor, oracle):
-        monkeypatch.setattr(module, "_tree_profiles", counted)
     assert GraphFamily(9, 5, fam.colors).clique_counts() == want_counts
-    assert calls == [sum(any(g.adj) for g in fam.members)] == [5]
+    assert lists_a_call() == [sum(any(g.adj) for g in fam.members)] == [5]
     assert rec.recheck() and len(rec.witnesses) == 12
-    assert calls[1:] == [24]
+    assert lists_a_call() == [24]
     assert random_pi_exponent(20, 20, 1) == want_products
-    assert calls[2:] == [40]
+    assert lists_a_call() == [40]
+    assert [sigma(g), pi(g), sigma_t(g, 3), pi_t(g, 3), profile_pair(g)] == want_values
+    assert lists_a_call() == [2] * 5
+    g6 = emit_graph6(g)
+    commands = [
+        (["count", "--graph6", g6, "--t", "3"], [2]),
+        (["bounds", "--t", "3", "--n", "12", "--graph6", g6], [2]),
+        (["compress", "--graph6", g6], [2, 2]),  # the graph and its threshold graph
+    ]
+    for argv, want in commands:
+        assert main(argv) == 0
+        assert lists_a_call() == want, argv
+    capsys.readouterr()
+    # each of the multicolor suite's three family loops is one group
+    assert verify_multicolor().lines == want_lines
+    assert [sum(sizes) <= counting._GROUP_ROWS for sizes in calls] == [True] * 3
 
 
 def test_coloring_extremal_sum():
@@ -320,7 +337,7 @@ def _loop_coloring_records(n, r):
     # code order: slot 0 is the least significant base-r digit, so reverse
     # product's tuples, whose last entry varies fastest
     fams = (GraphFamily(n, r, digits[::-1]) for digits in product(range(r), repeat=math.comb(n, 2)))
-    for fam, counts in family_clique_counts(fams):
+    for fam, counts in _counted_families(fams):
         vals = {"sum": sum(counts), "product": math.prod(counts)}
         for (quantity, direction), rec in state.items():
             val = vals[quantity]

@@ -20,12 +20,13 @@ from ngbounds import (
     parse_coloring,
     parse_graph6,
 )
-from ngbounds.graphs import Graph6Error, complement_rows, edge_list
+from ngbounds.counting import _profile_pairs
+from ngbounds.graphs import Graph6Error, edge_list
 from ngbounds.multicolor import ColoringFormatError
 from ngbounds.packing import _walk_sums
 from ngbounds.verify import _code_terms
 
-from helpers import batch_profiles, complement, packed_pair, profile_by_scan, walk, walk_columns, walk_end, walk_heights
+from helpers import complement, packed_pair, profile_by_scan, walk, walk_columns, walk_end, walk_heights
 
 
 @st.composite
@@ -148,11 +149,10 @@ def _at_least_at_every_size(low, high) -> bool:
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(graphs(n_max=12))
 def test_compression_never_lowers_a_count_of_any_size(g):
-    # every compression of g, and g itself, counted in one batch with their complements
+    # every compression of g, and g itself, counted in one stream with their complements
     pairs = [(x, y) for x in range(g.n) for y in range(g.n) if x != y]
     rows = [g.adj] + [compress(g, x, y).adj for x, y in pairs]
-    profiles = batch_profiles(rows + [complement_rows(adj) for adj in rows])
-    (cliques, *outs_k), (independents, *outs_i) = profiles[: len(rows)], profiles[len(rows) :]
-    for (x, y), out_k, out_i in zip(pairs, outs_k, outs_i):
+    (cliques, independents), *outs = _profile_pairs(rows)
+    for (x, y), (out_k, out_i) in zip(pairs, outs, strict=True):
         assert _at_least_at_every_size(cliques, out_k), (x, y)
         assert _at_least_at_every_size(independents, out_i), (x, y)
