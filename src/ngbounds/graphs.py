@@ -1,10 +1,10 @@
 """Bit-row graphs, edge slots, complement rows, and graph6 I/O.
 
 A graph is stored as ``n`` adjacency bitmasks, one per vertex: bit ``j`` of
-``adj[i]`` says ``i ~ j``.  Vertex sets are plain Python ints used as
-bitmasks, so subset algebra is single machine-word arithmetic.  ``n`` is
-capped at 62: any vertex set then fits one word and the graph6 short form
-always suffices.
+``adj[i]`` says ``i ~ j``; ``Graph.from_edges`` is the one build of them from
+edge pairs.  Vertex sets are plain Python ints used as bitmasks, so subset
+algebra is single machine-word arithmetic.  ``n`` is capped at 62: any vertex
+set then fits one word and the graph6 short form always suffices.
 
 Vertices are 0-indexed.  Graphs are immutable values; every operation
 returns a fresh ``Graph``.
@@ -13,7 +13,7 @@ returns a fresh ``Graph``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 
 MAX_VERTICES = 62
 
@@ -86,6 +86,7 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
+        """Graph on ``n`` vertices with edge pairs ``edges``: the one pairs-to-rows build."""
         rows = [0] * n
         for u, v in edges:
             if u == v:
@@ -99,12 +100,10 @@ class Graph:
     @classmethod
     def from_edge_mask(cls, n: int, mask: int) -> "Graph":
         """Graph whose edge set is given as a bitmask over ``edge_list(n)`` slots."""
-        rows = [0] * n
-        for slot, (u, v) in enumerate(edge_list(n)):
-            if (mask >> slot) & 1:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-        return cls(n, tuple(rows))
+        pairs = edge_list(n)
+        if 0 <= n <= MAX_VERTICES and not 0 <= mask < 1 << len(pairs):
+            raise ValueError(f"edge mask must be in [0, 2^{len(pairs)}) for n={n}, got {mask}")
+        return cls.from_edges(n, [pair for slot, pair in enumerate(pairs) if mask >> slot & 1])
 
 
 def complement_rows(rows) -> list[int]:
@@ -139,27 +138,16 @@ def parse_graph6(text: str) -> Graph:
         raise Graph6Error(
             f"{n}-vertex code needs {need} data byte(s), got {len(body)} ({kind} bytes)"
         )
-    rows = [0] * n
-    slot = 0
-    total = n * (n - 1) // 2
+    for pos, ch in enumerate(body):
+        if not 63 <= ord(ch) <= 126:
+            raise Graph6Error(f"data byte {pos + 1} ({ch!r}) outside graph6 range")
+    bits = "".join(f"{ord(ch) - 63:06b}" for ch in body)
+    if "1" in bits[n * (n - 1) // 2 :]:
+        raise Graph6Error(f"nonzero padding bit in data byte {len(body)}")
     # graph6 walks the upper triangle column by column, which differs from
     # the edge_list row-major order for n >= 4.
     order = [(i, j) for j in range(1, n) for i in range(j)]
-    for pos, ch in enumerate(body):
-        val = ord(ch) - 63
-        if not 0 <= val <= 63:
-            raise Graph6Error(f"data byte {pos + 1} ({ch!r}) outside graph6 range")
-        for k in range(6):
-            bit = (val >> (5 - k)) & 1
-            if slot < total:
-                if bit:
-                    i, j = order[slot]
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-            elif bit:
-                raise Graph6Error(f"nonzero padding bit in data byte {pos + 1}")
-            slot += 1
-    return Graph(n, tuple(rows))
+    return Graph.from_edges(n, compress(order, map(int, bits)))
 
 
 def emit_graph6(g: Graph) -> str:

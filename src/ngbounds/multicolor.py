@@ -27,6 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import tee
 from math import comb, factorial, prod
+from operator import index
 
 from .counting import _profile_stream
 from .graphs import MAX_VERTICES, Graph, edge_list, edge_slot, iter_bits
@@ -62,20 +63,26 @@ class GraphFamily:
         slots = edge_list(self.n)
         if len(self.colors) != len(slots):
             raise ValueError(f"expected {len(slots)} slot colors for n={self.n}, got {len(self.colors)}")
+        colors = []
         for (u, v), c in zip(slots, self.colors):
-            if c is not None and not 0 <= c < self.r:
-                raise ValueError(f"color {c} of pair ({u}, {v}) outside 0..{self.r - 1}")
+            if c is not None:
+                try:
+                    c = index(c)
+                except TypeError:
+                    raise ValueError(f"color {c!r} of pair ({u}, {v}) is not an integer") from None
+                if not 0 <= c < self.r:
+                    raise ValueError(f"color {c} of pair ({u}, {v}) outside 0..{self.r - 1}")
+            colors.append(c)
+        object.__setattr__(self, "colors", tuple(colors))
 
     @cached_property
     def members(self) -> tuple[Graph, ...]:
-        adj: dict[int, list[int]] = {}
-        for (u, v), c in zip(edge_list(self.n), self.colors):
+        pairs: dict[int, list[tuple[int, int]]] = {}
+        for pair, c in zip(edge_list(self.n), self.colors):
             if c is not None:
-                rows = adj.setdefault(c, [0] * self.n)
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
+                pairs.setdefault(c, []).append(pair)
         empty = Graph.empty(self.n)  # shared by every color with no edge
-        return tuple(Graph(self.n, tuple(adj[c])) if c in adj else empty for c in range(self.r))
+        return tuple(Graph.from_edges(self.n, pairs[c]) if c in pairs else empty for c in range(self.r))
 
     def clique_counts(self) -> list[int]:
         """k(G_i) for each color i.  A color with no edge has the n + 1

@@ -28,7 +28,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, cycle
+from itertools import combinations, compress, cycle
 from math import comb, gcd, prod
 from operator import attrgetter
 from typing import Optional
@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .counting import _check_t, _popcount64, _profile_pairs
-from .graphs import MAX_VERTICES, Graph, edge_list, emit_graph6, iter_bits, parse_graph6
+from .graphs import MAX_VERTICES, Graph, edge_list, edge_slot, emit_graph6, iter_bits, parse_graph6
 from .multicolor import MAX_COLORS, GraphFamily, Tournament, _counted_families, emit_coloring, parse_coloring
 
 WITNESS_CAP = 100
@@ -98,9 +98,8 @@ def _tables(n: int, t: Optional[int]):
     x | y << lo_bits."""
     m = comb(n, 2)
     lo_bits = min(m, 14)
-    slots = {e: i for i, e in enumerate(edge_list(n))}
     pairmasks = [
-        sum(1 << slots[pair] for pair in combinations(verts, 2))
+        sum(1 << edge_slot(n, u, v) for u, v in combinations(verts, 2))
         for size in (range(n + 1) if t is None else [t])
         for verts in combinations(range(n), size)
     ]
@@ -355,17 +354,11 @@ def exhaustive_coloring_extremal(n: int, r: int, quantity: str, direction: str) 
 
 def sample_random_graph(n: int, rng: np.random.Generator) -> Graph:
     """One draw of G(n, 1/2) from ``rng``: one fair bit per ``edge_list(n)``
-    slot, in order, and the slot's edge is present when its bit is 1."""
+    slot, in order; the pairs whose bit is 1 go to ``Graph.from_edges``."""
     if not 0 <= n <= MAX_VERTICES:
         raise ValueError(f"vertex count must be in [0, {MAX_VERTICES}], got {n}")
     bits = rng.integers(0, 2, size=comb(n, 2))
-    pairs = edge_list(n)
-    rows = [0] * n
-    for slot in np.flatnonzero(bits).tolist():
-        u, v = pairs[slot]
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return Graph(n, tuple(rows))
+    return Graph.from_edges(n, compress(edge_list(n), bits.tolist()))
 
 
 def sample_random_coloring(n: int, r: int, rng: np.random.Generator, partial: bool = False) -> GraphFamily:

@@ -3,7 +3,7 @@ certificates, the counting oracles, and the scans the fast paths replaced,
 shared across test modules."""
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from math import comb, factorial, log, log2
 
 import numpy as np
@@ -13,6 +13,23 @@ from ngbounds import counting, sample_random_graph
 from ngbounds.counting import _HOLD, _leaf_poly, _popcount64, _profile_pairs
 from ngbounds.graphs import complement_rows
 from ngbounds.oracle import _GRAPH_QUANTITIES, WITNESS_CAP, _mask_counts, _tables
+
+
+def graph_of_pairs(n: int, pairs) -> Graph:
+    """The graph on ``n`` vertices with edge pairs ``pairs``, built without the
+    library's pairs-to-rows code: a numpy boolean adjacency matrix, made
+    symmetric, its rows packed into ints by shifted sums."""
+    adj = np.zeros((n, n), dtype=bool)
+    ends = np.array(list(pairs), dtype=np.intp).reshape(-1, 2)
+    adj[ends[:, 0], ends[:, 1]] = True
+    adj |= adj.T
+    packed = (adj.astype(np.int64) << np.arange(n, dtype=np.int64)).sum(axis=1)
+    return Graph(n, tuple(int(row) for row in packed))
+
+
+def pairs_of_mask(n: int, mask: int) -> list[tuple[int, int]]:
+    """The pairs whose slot of the row-major order (0, 1), (0, 2), ... is set in ``mask``."""
+    return [pair for slot, pair in enumerate(combinations(range(n), 2)) if mask >> slot & 1]
 
 
 def path_graph(n: int) -> Graph:

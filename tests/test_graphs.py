@@ -1,10 +1,10 @@
 import pytest
 
-from ngbounds import Graph, emit_graph6, parse_graph6
+from ngbounds import Graph, GraphFamily, emit_graph6, parse_graph6
 from ngbounds.graphs import Graph6Error, edge_list, edge_slot
 from ngbounds.oracle import rng_for
 
-from helpers import complement, gnp_graph, path_graph, random_graph
+from helpers import complement, gnp_graph, graph_of_pairs, pairs_of_mask, path_graph, random_graph
 
 
 def test_construction_rejects_bad_adjacency():
@@ -95,7 +95,17 @@ def test_graph6_errors_are_distinct():
 
 def test_mask_helpers():
     # slots (0, 1) = 0 and (2, 3) = 5 of the order (0, 1), (0, 2), (0, 3), (1, 2), ...
-    assert Graph.from_edge_mask(4, 0b100001) == Graph.from_edges(4, [(0, 1), (2, 3)])
+    assert Graph.from_edge_mask(4, 0b100001) == graph_of_pairs(4, [(0, 1), (2, 3)])
     for n in (2, 5, 62):
         assert [edge_slot(n, u, v) for u, v in edge_list(n)] == list(range(n * (n - 1) // 2))
         assert all(edge_slot(n, v, u) == edge_slot(n, u, v) for u, v in edge_list(n))
+    # every graph with n <= 5, by each pair source that hands its pairs to
+    # Graph.from_edges, against the reference built without it
+    for n in range(6):
+        m = n * (n - 1) // 2
+        for mask in range(1 << m):
+            want = graph_of_pairs(n, pairs_of_mask(n, mask))
+            g = Graph.from_edge_mask(n, mask)
+            assert g == want and parse_graph6(emit_graph6(g)) == want
+            fam = GraphFamily(n, 2, [1 - (mask >> slot & 1) for slot in range(m)])
+            assert fam.members == (want, graph_of_pairs(n, pairs_of_mask(n, mask ^ ((1 << m) - 1))))

@@ -4,6 +4,7 @@ from itertools import product as iproduct
 from math import comb, factorial, perm, prod
 from operator import or_
 
+import numpy as np
 import pytest
 
 from ngbounds import (
@@ -31,7 +32,7 @@ from ngbounds.graphs import edge_list
 from ngbounds.multicolor import MAX_COLORS, ColoringFormatError
 from ngbounds.oracle import random_tournament, rng_for, sample_random_coloring
 
-from helpers import edge_count, good_sequences_by_permutation
+from helpers import edge_count, good_sequences_by_permutation, graph_of_pairs
 
 
 def total_coloring(n, r, seed):
@@ -61,7 +62,7 @@ def test_covers_all_edges_flag():
     n = 4
     # pairs (0, 1) and (2, 3) are slots 0 and 5 of edge_list(4)
     partial = GraphFamily(n, 2, [0, None, None, None, None, 1])
-    assert partial.members == (Graph.from_edges(n, [(0, 1)]), Graph.from_edges(n, [(2, 3)]))
+    assert partial.members == (graph_of_pairs(n, [(0, 1)]), graph_of_pairs(n, [(2, 3)]))
     assert not partial.covers_all_edges
     fam = total_coloring(5, 3, seed=2)
     assert fam.covers_all_edges
@@ -83,7 +84,7 @@ def test_from_colors_round_trip():
         fam = GraphFamily(n, r, colors)
         assert list(fam.colors) == colors
         by_color = [[e for e, c in zip(edge_list(n), colors) if c == i] for i in range(r)]
-        assert fam.members == tuple(Graph.from_edges(n, edges) for edges in by_color)
+        assert fam.members == tuple(graph_of_pairs(n, edges) for edges in by_color)
         assert parse_coloring(emit_coloring(fam)) == fam
 
 
@@ -102,7 +103,7 @@ def test_clique_counts_build_only_the_colors_in_use():
 
 def test_from_colors_leaves_none_uncolored():
     fam = GraphFamily(3, 2, [1, None, 0])
-    assert fam.members == (Graph.from_edges(3, [(1, 2)]), Graph.from_edges(3, [(0, 1)]))
+    assert fam.members == (graph_of_pairs(3, [(1, 2)]), graph_of_pairs(3, [(0, 1)]))
     assert fam.colors == (1, None, 0) and not fam.covers_all_edges
     assert emit_coloring(fam) == "3 2\n0 1 2\n1 2 1\n"
 
@@ -116,6 +117,13 @@ def test_from_colors_rejects_bad_entries():
         GraphFamily(3, 2, [0, 1])
     with pytest.raises(ValueError, match="expected 3 slot colors"):
         GraphFamily(3, 2, [0, 1, 0, 1])
+
+
+def test_numpy_integer_colors_are_stored_as_int():
+    fam = GraphFamily(3, 2, np.array([1, 0, 1]))
+    assert fam.colors == (1, 0, 1) and {type(c) for c in fam.colors} == {int}
+    assert fam == GraphFamily(3, 2, [1, 0, 1])
+    assert emit_coloring(fam) == "3 2\n0 1 2\n0 2 1\n1 2 2\n"
 
 
 def test_coloring_parse_errors_carry_line_numbers():

@@ -31,7 +31,15 @@ from ngbounds.counting import _popcount64, _profile_pairs, pi, pi_t, profile_pai
 from ngbounds.oracle import WITNESS_CAP, _mask_counts, _scan_stripe, _tables, rng_for
 from ngbounds.verify import verify_multicolor
 
-from helpers import coloring_product_by_color_loop, edge_count, exponent_ratios, extremal_by_gather, frontier_calls
+from helpers import (
+    coloring_product_by_color_loop,
+    edge_count,
+    exponent_ratios,
+    extremal_by_gather,
+    frontier_calls,
+    graph_of_pairs,
+    pairs_of_mask,
+)
 
 
 def test_exhaustive_pi_max_small():
@@ -467,19 +475,20 @@ def test_random_graph_draws_one_bit_per_slot_in_edge_list_order():
         for n in range(13):
             rng = rng_for([seed])
             edges = [pair for pair in edge_list(n) if rng.integers(0, 2)]
-            assert sample_random_graph(n, rng_for([seed])) == Graph.from_edges(n, edges)
+            assert sample_random_graph(n, rng_for([seed])) == graph_of_pairs(n, edges)
 
 
 def test_random_graph_is_the_edge_mask_of_its_drawn_bits():
-    # the rows come straight from the slots of the drawn bits; the mask of
-    # those bits, built the long way, must give the same graph, and the
-    # sampler must leave the generator where the draw of the bits left it
+    # the edges are the slots of the drawn bits; the graph of the mask of
+    # those bits, built the long way without Graph.from_edges, must be
+    # the same, and the sampler must leave the generator where the draw of
+    # the bits left it
     for n in range(63):
         for seed in range(3):
             rng = rng_for([seed, n])
             mask = sum(1 << int(i) for i in np.flatnonzero(rng.integers(0, 2, size=math.comb(n, 2))))
             sampled = rng_for([seed, n])
-            assert sample_random_graph(n, sampled) == Graph.from_edge_mask(n, mask)
+            assert sample_random_graph(n, sampled) == graph_of_pairs(n, pairs_of_mask(n, mask))
             assert sampled.integers(1 << 62) == rng.integers(1 << 62)
 
 

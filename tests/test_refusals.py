@@ -25,6 +25,13 @@ MONOCHROMATIC_K3 = GraphFamily(3, 1, [0, 0, 0])
 REFUSALS = [
     (lambda: Graph(3, (0, 0)), "expected 3 adjacency rows, got 2"),
     (lambda: Graph.from_edges(3, [(1, 1)]), "loop edge (1, 1)"),
+    (lambda: Graph.from_edge_mask(3, -1), "edge mask must be in [0, 2^3) for n=3, got -1"),
+    (lambda: Graph.from_edge_mask(3, 8), "edge mask must be in [0, 2^3) for n=3, got 8"),
+    # the vertex count is checked before the mask
+    (lambda: Graph.from_edge_mask(-1, 5), "vertex count must be in [0, 62], got -1"),
+    (lambda: Graph.from_edge_mask(63, 1 << 2000), "vertex count must be in [0, 62], got 63"),
+    (lambda: GraphFamily(3, 2, [0.5, 0, 1]), "color 0.5 of pair (0, 1) is not an integer"),
+    (lambda: GraphFamily(3, 2, [0, 1, "1"]), "color '1' of pair (1, 2) is not an integer"),
     (lambda: good_sequence_certificate(MONOCHROMATIC_K3), "certificates need at least 2 colors"),
     (lambda: count_good_sequences(MONOCHROMATIC_K3, 4), "sequence length must be in [0, 3], got 4"),
     (lambda: count_good_sequences(MONOCHROMATIC_K3, -1), "sequence length must be in [0, 3], got -1"),
