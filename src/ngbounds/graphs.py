@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, compress
+from operator import index
 
 MAX_VERTICES = 62
 
@@ -55,8 +56,12 @@ class Graph:
             raise ValueError(f"expected {self.n} adjacency rows, got {len(self.adj)}")
         full = (1 << self.n) - 1
         # for i < j, bit j of upper[i] ^ dense is bit i of row j; dense rows walk clear bits
-        upper, dense = [0] * self.n, 0
+        upper, dense, rows = [0] * self.n, 0, []
         for j, row in enumerate(self.adj):
+            try:
+                rows.append(row := index(row))
+            except TypeError:
+                raise ValueError(f"row {j} ({row!r}) is not an integer") from None
             if row & ~full:
                 raise ValueError(f"row {j} has bits outside the vertex range")
             if (row >> j) & 1:
@@ -69,6 +74,7 @@ class Graph:
                 low = below & -below
                 below ^= low
                 upper[low.bit_length() - 1] |= 1 << j
+        object.__setattr__(self, "adj", tuple(rows))  # int rows in a tuple, so every Graph hashes
         for i, row in enumerate(self.adj):
             diff = (row ^ upper[i] ^ dense) >> (i + 1)
             if diff:
@@ -87,8 +93,14 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
         """Graph on ``n`` vertices with edge pairs ``edges``: the one pairs-to-rows build."""
+        if not 0 <= n <= MAX_VERTICES:
+            raise ValueError(f"vertex count must be in [0, {MAX_VERTICES}], got {n}")
         rows = [0] * n
         for u, v in edges:
+            try:
+                u, v = index(u), index(v)
+            except TypeError:
+                raise ValueError(f"edge ({u!r}, {v!r}) has a vertex that is not an integer") from None
             if u == v:
                 raise ValueError(f"loop edge ({u}, {v})")
             if not (0 <= u < n and 0 <= v < n):

@@ -10,9 +10,9 @@ mask exactly when it is a clique of the complement mask, whose row and
 column are the reversed ones.  Sharding is by residue: shard k of K takes
 the masks congruent to k mod K, and partial records merge associatively.
 Within a shard the blocks alternate between two stripes, one scanned by the
-calling thread and one by a helper thread (numpy's loops release the
-interpreter lock); each stripe counts its blocks into its own buffers,
-allocated once and cache-sized, and the stripes merge like shards.
+calling thread and one on a one-worker ThreadPoolExecutor (numpy's loops
+release the interpreter lock); each stripe counts its blocks into its own
+buffers, allocated once and cache-sized, and the stripes merge like shards.
 The coloring scan tabulates k(G_mask) with the same kernel and evaluates
 every coloring as array lookups, color by color; witnesses are written from
 families of their color codes, with no member graph built.
@@ -25,7 +25,6 @@ Identical seeds give identical artifacts on any platform.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, compress, cycle
@@ -205,8 +204,9 @@ def exhaustive_extremal(
     """Exact extremum of a quantity over all labeled graphs on n vertices.
 
     quantity: 'sigma' | 'pi' (n <= 7) or 'sigma_t' | 'pi_t' (needs t, n <= 8).
-    With ``shard=None`` all shards run and merge; a specific shard yields the
-    partial record for masks congruent to it mod ``shards``.
+    With ``shard=None`` all shards run and merge in shard order (so the
+    witnesses kept, not the value or total, depend on ``shards``); a specific
+    shard yields the partial record for masks congruent to it mod ``shards``.
     """
     if quantity not in _GRAPH_QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}")
@@ -230,35 +230,21 @@ def exhaustive_extremal(
     if not 0 <= shard < shards:
         raise ValueError(f"shard must be in [0, {shards}), got {shard}")
 
+    from concurrent.futures import ThreadPoolExecutor  # here, not at the top: it imports logging, 0.5 MB of RSS
     want_max = direction == "max"
     combine = _GRAPH_QUANTITIES[quantity]
     scan = partial(_scan_stripe, *_tables(n, t if sized else None), shards, shard, combine, want_max)
-    parts: list = [None] * _STRIPES
-
-    def run(stripe: int) -> None:
-        try:
-            parts[stripe] = scan(stripe)
-        except BaseException as exc:  # re-raised by the caller after the join
-            parts[stripe] = exc
-
-    helpers = [threading.Thread(target=run, args=(stripe,)) for stripe in range(1, _STRIPES)]
-    for helper in helpers:
-        helper.start()
-    try:
-        parts[0] = scan(0)
-    finally:
-        for helper in helpers:
-            helper.join()
-    for part in parts:
-        if isinstance(part, BaseException):
-            raise part
+    with ThreadPoolExecutor(_STRIPES - 1) as pool:  # stripe 0 stays here: a pool thread's buffers take a new arena
+        helpers = [pool.submit(scan, stripe) for stripe in range(1, _STRIPES)]
+        parts = [scan(0)] + [helper.result() for helper in helpers]
     best, masks, total_wit = _merge_parts(parts, want_max)
     witnesses = tuple(emit_graph6(Graph.from_edge_mask(n, mk)) for mk in masks)
     return ExtremalRecord(n, quantity, direction, t if sized else None, best, witnesses, total_wit)
 
 
 def merge_records(records) -> ExtremalRecord:
-    """Combine shard records: associative max/min with witness reconciliation."""
+    """Combine shard records: the best value, the summed witness totals at it,
+    and those records' witnesses in the order given, cut at WITNESS_CAP."""
     records = list(records)
     if not records:
         raise ValueError("nothing to merge")

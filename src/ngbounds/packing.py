@@ -23,7 +23,6 @@ terms, attained by one-turn threshold graphs.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -79,10 +78,10 @@ def _walk_sums(w, walk: str, end_h, end_v) -> tuple[int, int]:
     return h + end_h[y], v + end_v[x]
 
 
-def _pareto_table(w, cols: int, rows: int, steps: int, cut=None) -> dict[tuple[int, int], tuple[tuple, tuple]]:
+def _pareto_table(w, cols: int, rows: int, steps: int, cut=None) -> dict[tuple[int, int], dict[int, int]]:
     """For each lattice point (x, y) of [0, cols] x [0, rows] with
     x + y <= steps, the Pareto-maximal sums (H, V) over the monotone walks
-    from (0, 0) to it, as a tuple of H ascending and a tuple of V.
+    from (0, 0) to it, as a dict from each H, ascending, to its one V.
 
     A step '-' at height y adds w[y] to H and a step '+' at column x adds
     w[x] to V.  No walk to (x, y) leaves [0, x] x [0, y], so an entry depends
@@ -93,13 +92,12 @@ def _pareto_table(w, cols: int, rows: int, steps: int, cut=None) -> dict[tuple[i
     pairs, ``cut(x, y)``, when given, tests each pair and drops those that no
     maximizing walk the table serves can pass.
     """
-    none = ((), ())
-    table = {(0, 0): ((0,), (0,))}
+    table = {(0, 0): {0: 0}}
     for d in range(1, steps + 1):
         for x in range(max(0, d - rows), min(cols, d) + 1):
             y = d - x
-            (h_left, v_left), (h_below, v_below) = table.get((x - 1, y), none), table.get((x, y - 1), none)
-            pairs = sorted([*zip([h + w[y] for h in h_left], v_left), *zip(h_below, [v + w[x] for v in v_below])])
+            left, below = table.get((x - 1, y), {}), table.get((x, y - 1), {})
+            pairs = sorted([*((h + w[y], v) for h, v in left.items()), *((h, v + w[x]) for h, v in below.items())])
             keep = cut(x, y) if cut and len(pairs) > _WHOLE_ENTRY else None
             front, top = [], -1
             for h, v in reversed(pairs):  # H descending: a pair is Pareto-maximal when its V beats every V before it
@@ -107,7 +105,7 @@ def _pareto_table(w, cols: int, rows: int, steps: int, cut=None) -> dict[tuple[i
                     top = v
                     if keep is None or keep(h, v):
                         front.append((h, v))
-            table[x, y] = tuple(zip(*reversed(front))) or none
+            table[x, y] = dict(reversed(front))
     return table
 
 
@@ -143,13 +141,6 @@ def _border_cut(w, t: int, rects):
     return at
 
 
-def _in_entry(entry, h: int, v: int) -> bool:
-    """Whether (h, v) is a pair of a ``_pareto_table`` entry."""
-    hs, vs = entry
-    i = bisect_left(hs, h)
-    return i < len(hs) and hs[i] == h and vs[i] == v
-
-
 def _lattice_max(table, w, ends) -> tuple[int, set[tuple[int, int, int, int]]]:
     """Exact maximum of (H + end_h) * (V + end_v) over the monotone walks
     from (0, 0) to an end point (x, y) with ``ends[x, y] = (end_h, end_v)``,
@@ -167,7 +158,7 @@ def _lattice_max(table, w, ends) -> tuple[int, set[tuple[int, int, int, int]]]:
     every walk, not only those marked: ``threshold_code_max`` answers it
     itself, and a border rectangle with a zero maximum has one path.
     """
-    values = [((x, y, h, v), (h + eh) * (v + ev)) for (x, y), (eh, ev) in ends.items() for h, v in zip(*table[x, y])]
+    values = [((x, y, h, v), (h + eh) * (v + ev)) for (x, y), (eh, ev) in ends.items() for h, v in table[x, y].items()]
     best = max(value for _, value in values)
     stack = [state for state, value in values if value == best]
     marks: set[tuple[int, int, int, int]] = set()
@@ -177,9 +168,9 @@ def _lattice_max(table, w, ends) -> tuple[int, set[tuple[int, int, int, int]]]:
             continue
         marks.add(state)
         x, y, h, v = state
-        if x and _in_entry(table[x - 1, y], h - w[y], v):
+        if x and table[x - 1, y].get(h - w[y]) == v:
             stack.append((x - 1, y, h - w[y], v))
-        if y and _in_entry(table[x, y - 1], h, v - w[x]):
+        if y and table[x, y - 1].get(h) == v - w[x]:
             stack.append((x, y - 1, h, v - w[x]))
     return best, marks
 

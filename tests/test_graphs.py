@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from ngbounds import Graph, GraphFamily, emit_graph6, parse_graph6
@@ -22,6 +23,23 @@ def test_construction_rejects_bad_adjacency():
 def test_from_edges_refuses_a_vertex_outside_the_range(pair):
     with pytest.raises(ValueError, match=rf"edge \({pair[0]}, {pair[1]}\) has a vertex outside \[0, 3\)"):
         Graph.from_edges(3, [(0, 1), pair])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Graph(3, (np.int64(2), np.int64(1), np.uint8(0))),
+        lambda: Graph(3, np.array([2, 1, 0])),
+        lambda: Graph(3, [2, 1, 0]),
+        lambda: Graph.from_edges(3, [(np.int64(0), np.int32(1))]),
+        lambda: Graph.from_edges(3, np.array([[1, 0]])),
+    ],
+    ids=["numpy-rows", "numpy-array-rows", "list-rows", "numpy-endpoints", "numpy-array-pairs"],
+)
+def test_integer_like_rows_and_endpoints_are_stored_as_int(build):
+    g = build()
+    assert g == Graph(3, (2, 1, 0)) and hash(g) == hash(Graph(3, (2, 1, 0)))
+    assert type(g.adj) is tuple and {type(row) for row in g.adj} == {int}
 
 
 def test_asymmetry_error_names_the_first_pair_in_row_order():

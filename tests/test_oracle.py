@@ -83,6 +83,25 @@ def test_shard_merge_matches_full_scan():
     assert merged.total_witnesses == full.total_witnesses == 2
 
 
+@pytest.mark.parametrize(
+    "quantity, t",
+    [("sigma", None), ("pi", None), ("sigma_t", 2), ("pi_t", 3)],
+)
+@pytest.mark.parametrize("direction", ["min", "max"])
+def test_a_merge_over_any_shard_count_keeps_the_value_and_joins_witnesses_in_shard_order(quantity, t, direction):
+    # the value and the witness total do not depend on the shard count K; the
+    # witnesses do: those of the shards that reach the value, in shard order,
+    # cut at WITNESS_CAP
+    whole = exhaustive_extremal(5, quantity, direction, t)
+    for shards in range(1, 8):
+        parts = [exhaustive_extremal(5, quantity, direction, t, shards=shards, shard=s) for s in range(shards)]
+        merged = exhaustive_extremal(5, quantity, direction, t, shards=shards)
+        assert merged == merge_records(parts)
+        assert (merged.value, merged.total_witnesses) == (whole.value, whole.total_witnesses)
+        joined = [w for part in parts if part.value == whole.value for w in part.witnesses]
+        assert merged.witnesses == tuple(joined[:WITNESS_CAP]), shards
+
+
 def test_exhaustive_extremal_validation():
     with pytest.raises(ValueError):
         exhaustive_extremal(8, "pi", "max")  # totals capped at 7
@@ -205,6 +224,34 @@ def test_a_failing_stripe_raises_and_leaves_no_thread(monkeypatch, in_helper):
     monkeypatch.setattr(oracle, "_clique_counts", failing)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="block kernel failed"):
+        exhaustive_extremal(7, "pi", "max")
+    assert threading.active_count() == before
+
+
+class KernelAbort(BaseException):
+    """A failure that is not an ``Exception``, as KeyboardInterrupt is not."""
+
+
+@pytest.mark.parametrize(
+    "failing, raised",
+    [({"caller"}, "caller"), ({"helper"}, "helper"), ({"caller", "helper"}, "caller")],
+    ids=["caller", "helper", "both"],
+)
+def test_a_stripe_failing_beyond_exception_raises_and_leaves_no_thread(monkeypatch, failing, raised):
+    # each stripe raises its own KernelAbort; when both fail, the calling
+    # thread's is the one raised, once the helper has stopped too
+    caller = threading.current_thread()
+    kernel = oracle._clique_counts
+
+    def aborting(*args):
+        stripe = "caller" if threading.current_thread() is caller else "helper"
+        if stripe in failing:
+            raise KernelAbort(stripe)
+        kernel(*args)
+
+    monkeypatch.setattr(oracle, "_clique_counts", aborting)
+    before = threading.active_count()
+    with pytest.raises(KernelAbort, match=f"^{raised}$"):
         exhaustive_extremal(7, "pi", "max")
     assert threading.active_count() == before
 

@@ -25,6 +25,12 @@ MONOCHROMATIC_K3 = GraphFamily(3, 1, [0, 0, 0])
 REFUSALS = [
     (lambda: Graph(3, (0, 0)), "expected 3 adjacency rows, got 2"),
     (lambda: Graph.from_edges(3, [(1, 1)]), "loop edge (1, 1)"),
+    (lambda: Graph(2, (1.0, 0)), "row 0 (1.0) is not an integer"),
+    (lambda: Graph(2, (0, "1")), "row 1 ('1') is not an integer"),
+    (lambda: Graph.from_edges(3, [(0.0, 1)]), "edge (0.0, 1) has a vertex that is not an integer"),
+    (lambda: Graph.from_edges(3, [(0, "2")]), "edge (0, '2') has a vertex that is not an integer"),
+    # the vertex count is checked before any edge
+    (lambda: Graph.from_edges(-2, [(0, 1)]), "vertex count must be in [0, 62], got -2"),
     (lambda: Graph.from_edge_mask(3, -1), "edge mask must be in [0, 2^3) for n=3, got -1"),
     (lambda: Graph.from_edge_mask(3, 8), "edge mask must be in [0, 2^3) for n=3, got 8"),
     # the vertex count is checked before the mask
